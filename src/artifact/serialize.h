@@ -1,13 +1,12 @@
 // Versioned serialization + mmap'd zero-copy loading of compiled modules.
 //
-// This is the layer between the compiler and the runtime that the paper's
-// deployment story (§4.5) stops short of: relay/serializer.cc round-trips
-// *source-level* Relay (load → re-infer types → re-run codegen → re-pack
-// weights), so every process restart pays the full rebuild. The functions
-// here serialize the *compiled* artifact — the linearized instruction
-// stream with snapshotted op attrs, the static MemoryPlan, the Execution
-// Planner's placement, and the pre-packed GEMM weight panels — so loading
-// is a page-in:
+// This is the paper's deployment story (§4.5, `lib.export_library` on the
+// host, load-and-run on the device): what ships is the compiled artifact,
+// never source-level Relay, so a restart pays no type inference, codegen or
+// weight re-packing. The functions here serialize the *compiled* artifact —
+// the linearized instruction stream with snapshotted op attrs, the static
+// MemoryPlan, the Execution Planner's placement, and the pre-packed GEMM
+// weight panels — so loading is a page-in:
 //
 //   * zero parsing of tensor payloads — constants and packed panels are
 //     located by (offset, bytes) in the BLOB section, never decoded;

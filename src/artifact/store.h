@@ -2,7 +2,8 @@
 //
 // A store is a flat directory of ".tnpa" files named by the 64-bit FNV-1a
 // hash of (on-disk format version | artifact kind | caller key). CompileFlow
-// passes the serialized module bytes + flow + settings as the key, so:
+// passes the module fingerprint (relay/fingerprint.h) + flow + settings as
+// the key, so:
 //
 //   * any change to model weights/structure, flow, or compile options lands
 //     in a different file — entries are immutable once published;

@@ -1,11 +1,12 @@
 #include "core/flows.h"
 
+#include <iomanip>
 #include <sstream>
 
 #include "core/relay_to_neuron.h"
 #include "neuron/runtime.h"
+#include "relay/fingerprint.h"
 #include "relay/pass.h"
-#include "relay/serializer.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 #include "tune/db.h"
@@ -211,15 +212,16 @@ InferenceSessionPtr MakeNpSession(FlowKind flow, neuron::NeuronPackagePtr packag
                                      num_outputs);
 }
 
-/// Content key for the artifact cache: the module's deterministic serialized
-/// bytes (structure + constant weights) plus every compile knob that changes
-/// the produced artifact. The cache implementation hashes this together with
-/// its on-disk format version.
+/// Content key for the artifact cache: the module's fingerprint (structure +
+/// constant weights, hashed in one streaming pass) plus every compile knob
+/// that changes the produced artifact — a few dozen bytes whatever the model
+/// size. The cache implementation hashes this together with its on-disk
+/// format version.
 std::string FlowCacheKey(const relay::Module& module, FlowKind flow,
                          const FlowCompileSettings& settings) {
   std::ostringstream key;
-  relay::SaveModule(module, key);
-  key << '|' << FlowName(flow) << "|policy=" << static_cast<int>(settings.policy)
+  key << std::hex << std::setw(16) << std::setfill('0') << relay::ModuleFingerprint(module)
+      << std::dec << '|' << FlowName(flow) << "|policy=" << static_cast<int>(settings.policy)
       << "|fusion=" << (settings.enable_tvm_fusion ? 1 : 0)
       << "|tune=" << tune::ActiveTuningFingerprint();
   return key.str();

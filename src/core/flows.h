@@ -71,8 +71,8 @@ class InferenceSession {
 using InferenceSessionPtr = std::shared_ptr<InferenceSession>;
 
 /// Abstract compiled-artifact cache consulted by CompileFlow (load-or-build).
-/// Keys are opaque content strings assembled by CompileFlow — the serialized
-/// module bytes plus flow and settings — which the implementation hashes
+/// Keys are short opaque content strings assembled by CompileFlow — the
+/// module fingerprint plus flow and settings — which the implementation hashes
 /// together with its on-disk format version. Implemented by
 /// artifact::ArtifactStore; declared here so core/ does not depend on the
 /// artifact layer.

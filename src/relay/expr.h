@@ -4,6 +4,9 @@
 // Tuple, TupleGetItem and Function. Expressions are immutable by convention
 // after construction (passes rewrite by building new nodes); the only
 // mutable field is the cached checked_type written by the InferType pass.
+// Modules are shallow copies that share nodes across threads (racing
+// CompileFlow calls, serve session pools), so a node whose type is already
+// the inferred one is never written again: re-inference is read-only.
 // Shared subexpressions are real sharing (a DAG), which the visitors
 // preserve via memoization.
 #pragma once
@@ -41,7 +44,10 @@ class Expr {
 
   /// Type assigned by InferType; Type::defined() is false before that.
   const Type& checked_type() const noexcept { return checked_type_; }
-  void set_checked_type(Type type) { checked_type_ = std::move(type); }
+  /// No-op when `type` equals the current checked type (see file comment).
+  void set_checked_type(Type type) {
+    if (checked_type_ != type) checked_type_ = std::move(type);
+  }
 
   /// Convenience: checked type as tensor type (throws if not inferred/tensor).
   const TensorType& tensor_type() const {

@@ -515,7 +515,13 @@ void ThreadPool::Shutdown() {
                                          std::memory_order_acq_rel)) {
     return;  // idempotent
   }
-  sleep_cv_.notify_all();
+  {
+    // Notify under the sleep mutex: a worker that has evaluated its wait
+    // predicate but not yet blocked would otherwise miss this wakeup, and
+    // join() below would wait forever.
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    sleep_cv_.notify_all();
+  }
   std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(workers_mutex_);

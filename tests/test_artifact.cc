@@ -419,6 +419,44 @@ TEST(Artifact, ConcurrentLoadOrBuildConverges) {
   EXPECT_EQ(CounterValue("artifact/cache_hits"), hits + 1);
 }
 
+// Stress reproducer for racing compiles of one shared, already-typed module
+// (serve session pools share modules the same way): every CompileFlow runs
+// InferType over the same nodes, so a pass that writes a node another thread
+// reads corrupts the heap or yields garbage shapes within a few rounds.
+TEST(Artifact, ConcurrentCompilesOfOneSharedModule) {
+  const relay::Module module = SmallZoo("mobilenet_v1");
+  const NDArray input = SmallInput(19);
+  const auto reference =
+      RunOnce(*core::CompileFlow(module, core::FlowKind::kByocCpuApu), input);
+
+  constexpr int kRounds = 12;
+  constexpr int kThreads = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<NDArray>> outputs(kThreads);
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        try {
+          outputs[t] = RunOnce(*core::CompileFlow(module, core::FlowKind::kByocCpuApu), input);
+        } catch (const std::exception& e) {
+          errors[t] = e.what();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(errors[t], "") << "round " << round << " racer " << t;
+      ASSERT_EQ(outputs[t].size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_TRUE(NDArray::BitEqual(outputs[t][i], reference[i]))
+            << "round " << round << " racer " << t << " output " << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace artifact
 }  // namespace tnp

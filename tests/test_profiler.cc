@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,14 +158,30 @@ TEST(Profiler, SamplesConcurrentlyWithLoadedPool) {
   stop.store(true);
   sampler.join();
 
+  // Deterministic sample inside a pool task: one task parks inside its label
+  // until SampleOnce() has run, so the assertion below never depends on a
+  // sample happening to land inside a ~2 us task of the storm above.
+  std::latch entered(1);
+  std::latch release(1);
+  TaskGroup held;
+  held.Run([&entered, &release] {
+    LabelScope label("pool-task");
+    entered.count_down();
+    release.wait();
+  });
+  entered.wait();
+  Profiler::Global().SampleOnce();
+  release.count_down();
+  held.Wait();
+
   const ProfileStats stats = Profiler::Global().stats();
   EXPECT_GT(stats.samples, 0u);
   // The folded table and both exports stay self-consistent after the storm.
   const JsonValue doc = JsonValue::Parse(Profiler::Global().ExportJson());
   ASSERT_TRUE(doc.is_object());
   EXPECT_GE(doc.NumberOr("samples", -1.0), 1.0);
-  // Pool workers register under the literal "pool" root; with 50 rounds of
-  // labelled tasks at least one sample lands inside one.
+  // Pool workers register under the literal "pool" root; the parked task
+  // guarantees at least one sample inside one.
   EXPECT_TRUE(Contains(Profiler::Global().ExportFolded(), "pool"));
 }
 

@@ -1,9 +1,13 @@
-// Relay IR structure: expressions, attrs, visitors, mutators, printer.
+// Relay IR structure: expressions, attrs, visitors, mutators, printer, and
+// the module fingerprint that keys the artifact cache.
 #include <gtest/gtest.h>
 
 #include "relay/expr.h"
+#include "relay/fingerprint.h"
+#include "relay/pass.h"
 #include "relay/printer.h"
 #include "relay/visitor.h"
+#include "zoo/zoo.h"
 
 namespace tnp {
 namespace relay {
@@ -176,6 +180,63 @@ TEST(Downcast, CheckedAs) {
   ExprPtr e = x;
   EXPECT_EQ(As<Var>(e)->name(), "x");
   EXPECT_THROW(As<Call>(e), InternalError);
+}
+
+// Every field of a model that changes its compiled artifact must change the
+// fingerprint; the defaults below are the baseline model.
+struct TinyModel {
+  bool flip_weight_bit = false;
+  std::int64_t padding = 1;
+  float weight_scale = 0.5f;
+  bool external = false;
+  DType input_dtype = DType::kFloat32;
+};
+
+Module BuildTiny(const TinyModel& m) {
+  NDArray weight = NDArray::RandomInt8(Shape({4, 3, 3, 3}), 7);
+  if (m.flip_weight_bit) static_cast<std::uint8_t*>(weight.RawData())[5] ^= 0x10;
+  weight.set_quant(QuantParams(m.weight_scale, 0));
+  auto x = MakeVar("x", Type::Tensor(Shape({1, 3, 8, 8}), m.input_dtype));
+  auto conv = MakeCall("nn.conv2d", {x, MakeConstant(weight)},
+                       Attrs().SetInts("padding", {m.padding, m.padding}));
+  Attrs fn_attrs;
+  if (m.external) fn_attrs.SetString(kAttrCompiler, "nir");
+  return Module(MakeFunction({x}, conv, fn_attrs));
+}
+
+TEST(Fingerprint, IndependentImportsOfAZooModelAgree) {
+  zoo::ZooOptions options;
+  options.image_size = 32;
+  options.width = 0.25;
+  options.depth = 0.3;
+  const Module a = zoo::Build("mobilenet_v2_quant", options);
+  const Module b = zoo::Build("mobilenet_v2_quant", options);
+  ASSERT_NE(a.main(), b.main());  // two separate node graphs
+  EXPECT_EQ(ModuleFingerprint(a), ModuleFingerprint(b));
+  // Checked types are derived, not content: typing leaves the hash alone.
+  EXPECT_EQ(ModuleFingerprint(InferType().Run(a)), ModuleFingerprint(a));
+  EXPECT_NE(ModuleFingerprint(zoo::Build("mobilenet_v2", options)), ModuleFingerprint(a));
+}
+
+TEST(Fingerprint, EveryArtifactRelevantChangeMovesTheHash) {
+  const std::uint64_t base = ModuleFingerprint(BuildTiny({}));
+  EXPECT_EQ(ModuleFingerprint(BuildTiny({})), base);
+
+  TinyModel flipped;
+  flipped.flip_weight_bit = true;
+  TinyModel attr;
+  attr.padding = 0;
+  TinyModel quant;
+  quant.weight_scale = 0.25f;
+  TinyModel external;
+  external.external = true;
+  TinyModel dtype;
+  dtype.input_dtype = DType::kInt8;
+  EXPECT_NE(ModuleFingerprint(BuildTiny(flipped)), base) << "weight bit";
+  EXPECT_NE(ModuleFingerprint(BuildTiny(attr)), base) << "op attr";
+  EXPECT_NE(ModuleFingerprint(BuildTiny(quant)), base) << "quant param";
+  EXPECT_NE(ModuleFingerprint(BuildTiny(external)), base) << "Compiler= attr";
+  EXPECT_NE(ModuleFingerprint(BuildTiny(dtype)), base) << "dtype";
 }
 
 }  // namespace

@@ -151,6 +151,16 @@ TEST(ThreadPool, ShutdownDrainsEveryAcceptedTask) {
   EXPECT_EQ(ran.load(), kTasks);
 }
 
+TEST(ThreadPool, ConstructDestroyStressNeverHangs) {
+  // Regression for a lost wakeup: Shutdown() must notify sleepers under the
+  // sleep mutex, or a worker between its predicate check and wait() misses
+  // the notify and join() blocks forever. Fresh pools shut down while their
+  // workers are still heading for the cv, which is exactly that window.
+  for (int i = 0; i < 4000; ++i) {
+    ThreadPool pool(2, {/*queue_capacity=*/16, /*max_spares=*/0, "tp_churn"});
+  }
+}
+
 TEST(ThreadPool, StealHeavyStressIsCorrect) {
   // Uneven chunk costs force idle workers to steal; the range must still be
   // covered exactly once. (Also the TSan target for the steal path.)
