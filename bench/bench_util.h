@@ -1,7 +1,9 @@
 // Shared helpers for the figure/table reproduction harnesses.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -100,28 +102,46 @@ inline std::vector<std::string> FlowRow(const std::string& label,
   return row;
 }
 
-/// Run `fn` `repetitions` times, routing every wall-clock latency through
-/// the registry histogram "bench/<name>/us" (reset first so back-to-back
-/// measurements don't mix); returns that histogram's summary.
-inline support::metrics::HistogramSummary MeasureRepetitions(
-    const std::string& name, int repetitions, const std::function<void()>& fn) {
-  support::metrics::Histogram& histogram =
-      support::metrics::Registry::Global().GetHistogram("bench/" + name + "/us");
-  histogram.Reset();
+/// Exact statistics of repeated wall-clock measurements, microseconds.
+struct RepetitionStats {
+  double min = 0.0;
+  double median = 0.0;  ///< nearest-rank
+  double stddev = 0.0;  ///< population standard deviation
+};
+
+/// Run `fn` `repetitions` times and summarize the wall-clock latencies from
+/// the raw samples (not a bucketed histogram), so close measurements stay
+/// distinguishable.
+inline RepetitionStats MeasureRepetitions(int repetitions, const std::function<void()>& fn) {
+  std::vector<double> samples;
   for (int i = 0; i < repetitions; ++i) {
     const auto start = std::chrono::steady_clock::now();
     fn();
-    histogram.Record(std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
+    samples.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
   }
-  return histogram.Summarize();
+  RepetitionStats stats;
+  if (samples.empty()) return stats;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const double sample : samples) {
+    sum += sample;
+    sum_sq += sample * sample;
+  }
+  const double n = static_cast<double>(samples.size());
+  const double mean = sum / n;
+  stats.stddev = std::sqrt(std::max(0.0, sum_sq / n - mean * mean));
+  stats.min = *std::min_element(samples.begin(), samples.end());
+  const auto median = samples.begin() + static_cast<std::ptrdiff_t>((samples.size() - 1) / 2);
+  std::nth_element(samples.begin(), median, samples.end());
+  stats.median = *median;
+  return stats;
 }
 
 /// "min / median / stddev" table cells (milliseconds) for a measurement.
-inline std::vector<std::string> RepetitionCells(
-    const support::metrics::HistogramSummary& summary) {
-  return {Ms(summary.min), Ms(summary.p50), Ms(summary.stddev)};
+inline std::vector<std::string> RepetitionCells(const RepetitionStats& stats) {
+  return {Ms(stats.min), Ms(stats.median), Ms(stats.stddev)};
 }
 
 inline std::vector<std::string> FlowHeader(const std::string& first) {

@@ -83,12 +83,12 @@ int main() {
   std::cout << "\n";
   sweep.Print(std::cout, "  pipeline depth sweep (prototype assignment):");
 
-  // Scheduling cost itself, measured over repetitions through the metrics
-  // registry's latency histogram (min/median/stddev).
+  // Scheduling cost itself, measured over repetitions (exact
+  // min/median/stddev of the raw samples).
   support::Table cost({"scheduler", "min ms", "median ms", "stddev ms"});
   const auto measure = [&cost, &profiles, kFrames](const char* label,
                                                    const std::function<void()>& fn) {
-    const auto summary = bench::MeasureRepetitions(label, 16, fn);
+    const auto summary = bench::MeasureRepetitions(16, fn);
     std::vector<std::string> row = {label};
     for (const auto& cell : bench::RepetitionCells(summary)) row.push_back(cell);
     cost.AddRow(row);

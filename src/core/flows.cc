@@ -1,6 +1,9 @@
 #include "core/flows.h"
 
+#include <array>
+#include <atomic>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "core/relay_to_neuron.h"
@@ -46,11 +49,19 @@ std::vector<sim::Resource> FlowResources(FlowKind flow) {
 namespace {
 
 /// Per-run observability shared by both session kinds: a "flow" span whose
-/// sim_us argument carries the simulated latency, plus a per-flow histogram.
+/// sim_us argument carries the simulated latency, plus a per-flow histogram
+/// resolved once per FlowKind (the registry name lookup allocates).
 void RecordFlowRun(FlowKind flow, double sim_us) {
-  support::metrics::Registry::Global()
-      .GetHistogram(std::string("flow/") + FlowName(flow) + "/sim_us")
-      .Record(sim_us);
+  static std::array<std::atomic<support::metrics::Histogram*>, std::size(kAllFlows)> table{};
+  std::atomic<support::metrics::Histogram*>& slot = table[static_cast<std::size_t>(flow)];
+  support::metrics::Histogram* histogram = slot.load(std::memory_order_acquire);
+  if (histogram == nullptr) {
+    // Racing first runs resolve the same find-or-create entry.
+    histogram = &support::metrics::Registry::Global().GetHistogram(
+        std::string("flow/") + FlowName(flow) + "/sim_us");
+    slot.store(histogram, std::memory_order_release);
+  }
+  histogram->Record(sim_us);
 }
 
 neuron::TargetConfig TargetOf(FlowKind flow) {

@@ -17,28 +17,20 @@ namespace attribution {
 
 namespace {
 
-using support::timeseries::LatencyGrid;
-
 constexpr std::size_t kCompletionRing = 1024;
 constexpr std::size_t kRetainedSlots = 16;
 constexpr std::size_t kMaxRetainedSpans = 64;
 constexpr double kAutoTailFloorUs = 1000.0;
 constexpr double kAutoTailMeanFactor = 4.0;
 
-/// One phase's fold state: grid-bucketed histogram + exemplar ring, all
+/// One phase's fold state: a metrics::Histogram plus an exemplar ring, all
 /// fixed storage so the Complete path never allocates.
-struct PhaseHist {
-  std::int64_t count = 0;
-  double sum = 0.0;
-  double max = 0.0;
-  std::array<std::uint64_t, LatencyGrid::kNumBounds> buckets{};
+struct PhaseState {
+  support::metrics::Histogram histogram;
   std::array<Exemplar, kExemplarsPerPhase> exemplars{};
 
   void Fold(std::uint64_t req_id, double us) {
-    ++count;
-    sum += us;
-    if (us > max) max = us;
-    ++buckets[static_cast<std::size_t>(LatencyGrid::BucketOf(us))];
+    histogram.Record(us);
     // Min-replacement: keep the kExemplarsPerPhase slowest requests seen.
     int min_index = 0;
     for (int i = 0; i < kExemplarsPerPhase; ++i) {
@@ -57,41 +49,24 @@ struct PhaseHist {
   }
 
   void Clear() {
-    count = 0;
-    sum = 0.0;
-    max = 0.0;
-    buckets.fill(0);
+    histogram.Reset();
     exemplars.fill(Exemplar{});
   }
 };
 
-/// Grid percentile: the upper bound of the bucket holding the q-th sample,
-/// clamped to the observed max (so a constant-valued distribution reports
-/// exact percentiles at the top).
-double PercentileFromGrid(const PhaseHist& hist, double q) {
-  if (hist.count == 0) return 0.0;
-  const std::int64_t target = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(hist.count))));
-  std::int64_t cumulative = 0;
-  const auto& bounds = LatencyGrid::Bounds();
-  for (int i = 0; i < LatencyGrid::kNumBounds; ++i) {
-    cumulative += static_cast<std::int64_t>(hist.buckets[static_cast<std::size_t>(i)]);
-    if (cumulative >= target) return std::min(bounds[static_cast<std::size_t>(i)], hist.max);
-  }
-  return hist.max;
-}
-
-PhaseSummary Summarize(const PhaseHist& hist) {
+PhaseSummary Summarize(const PhaseState& phase) {
+  const support::metrics::HistogramSnapshot snapshot = phase.histogram.Snapshot();
+  const support::metrics::HistogramSummary s = snapshot.Summarize();
   PhaseSummary summary;
-  summary.count = hist.count;
-  summary.sum_us = hist.sum;
-  summary.max_us = hist.max;
-  summary.mean_us = hist.count > 0 ? hist.sum / static_cast<double>(hist.count) : 0.0;
-  summary.p50_us = PercentileFromGrid(hist, 0.50);
-  summary.p95_us = PercentileFromGrid(hist, 0.95);
-  summary.p99_us = PercentileFromGrid(hist, 0.99);
+  summary.count = s.count;
+  summary.sum_us = snapshot.sum;
+  summary.max_us = s.max;
+  summary.mean_us = s.mean;
+  summary.p50_us = s.p50;
+  summary.p95_us = s.p95;
+  summary.p99_us = s.p99;
   std::vector<Exemplar> exemplars;
-  for (const Exemplar& exemplar : hist.exemplars) {
+  for (const Exemplar& exemplar : phase.exemplars) {
     if (exemplar.req_id != 0) exemplars.push_back(exemplar);
   }
   std::sort(exemplars.begin(), exemplars.end(),
@@ -150,8 +125,8 @@ struct LedgerState {
   mutable std::mutex mutex;
   LedgerOptions options;
 
-  std::array<PhaseHist, kNumPhases> phases{};
-  PhaseHist end_to_end{};
+  std::array<PhaseState, kNumPhases> phases{};
+  PhaseState end_to_end{};
   std::array<std::int64_t, 4> status_counts{};  ///< indexed by ServeStatus
   std::int64_t completed = 0;
 
@@ -178,7 +153,7 @@ struct LedgerState {
   }
 
   void ClearLocked() {
-    for (PhaseHist& hist : phases) hist.Clear();
+    for (PhaseState& phase : phases) phase.Clear();
     end_to_end.Clear();
     status_counts.fill(0);
     completed = 0;
@@ -370,9 +345,10 @@ bool Ledger::WorstPhase(std::string* name, double* p99_us,
   int worst = -1;
   double worst_p99 = -1.0;
   for (int k = 0; k < kNumPhases; ++k) {
-    const PhaseHist& hist = state.phases[static_cast<std::size_t>(k)];
-    if (hist.count == 0) continue;
-    const double p99 = PercentileFromGrid(hist, 0.99);
+    const support::metrics::Histogram& histogram =
+        state.phases[static_cast<std::size_t>(k)].histogram;
+    if (histogram.count() == 0) continue;
+    const double p99 = histogram.Percentile(99.0);
     if (p99 > worst_p99) {
       worst_p99 = p99;
       worst = k;
@@ -383,9 +359,8 @@ bool Ledger::WorstPhase(std::string* name, double* p99_us,
   if (p99_us != nullptr) *p99_us = worst_p99;
   if (exemplar_req_id != nullptr) {
     *exemplar_req_id = 0;
-    const PhaseHist& hist = state.phases[static_cast<std::size_t>(worst)];
     double best = -1.0;
-    for (const Exemplar& exemplar : hist.exemplars) {
+    for (const Exemplar& exemplar : state.phases[static_cast<std::size_t>(worst)].exemplars) {
       if (exemplar.req_id != 0 && exemplar.us > best) {
         best = exemplar.us;
         *exemplar_req_id = exemplar.req_id;

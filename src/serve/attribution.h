@@ -21,11 +21,11 @@
 // decomposition is conservative and complete by construction. Requests shed
 // at admission attribute their whole lifetime to `admission`.
 //
-// The fold path is alloc-free: per-phase histograms live on the shared
-// timeseries::LatencyGrid geometric bucket grid in fixed arrays, p95/p99
-// exports carry *exemplars* (the req_ids of the slowest requests per phase,
-// kept in fixed min-replacement rings), and recent per-request records sit
-// in a fixed ring for tests and debugging. The only allocating branch is
+// The fold path is alloc-free: each phase folds into a metrics::Histogram
+// (the same fixed-bucket histogram, percentile routine and error bound as
+// the registry's), p95/p99 exports carry *exemplars* (the req_ids of the
+// slowest requests per phase, kept in fixed min-replacement rings), and
+// recent per-request records sit in a fixed ring for tests and debugging. The only allocating branch is
 // tail-based trace retention — keeping the full span tree for slow / shed /
 // expired / error requests — which runs only for that tail and counts every
 // excursion in `alloc_events` (bench-gated at zero for the steady state).
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "serve/request.h"
-#include "support/timeseries.h"
 
 namespace tnp {
 namespace support {

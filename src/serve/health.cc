@@ -117,15 +117,15 @@ HealthState HealthMonitor::Evaluate() {
   const support::timeseries::RateSeries* fallback =
       collector_->FindCounter("serve/fallback");
   const std::int64_t submissions =
-      submitted != nullptr ? submitted->DeltaOver(window_s) : 0;
+      submitted != nullptr ? submitted->Merge(window_s) : 0;
   if (submissions > 0) {
     if (shed != nullptr) {
-      signals.shed_fraction = static_cast<double>(shed->DeltaOver(window_s)) /
+      signals.shed_fraction = static_cast<double>(shed->Merge(window_s)) /
                               static_cast<double>(submissions);
     }
     if (fallback != nullptr) {
       signals.fallback_fraction =
-          static_cast<double>(fallback->DeltaOver(window_s)) /
+          static_cast<double>(fallback->Merge(window_s)) /
           static_cast<double>(submissions);
     }
   }

@@ -95,11 +95,13 @@ InferenceServer::InferenceServer(std::vector<ServedModel> models, ServerOptions 
 
   for (auto& model : models) {
     const std::string name = model.name;
-    TNP_CHECK(models_.emplace(name, std::move(model)).second)
+    auto& latency_us = Registry::Global().GetHistogram("serve/model/" + name + "/us");
+    TNP_CHECK(models_.emplace(name, ModelEntry{std::move(model), &latency_us}).second)
         << "duplicate served model '" << name << "'";
   }
 
-  for (const auto& [name, model] : models_) {
+  for (const auto& [name, entry] : models_) {
+    const ServedModel& model = entry.model;
     std::vector<core::FlowKind> flows = {model.plan.primary.flow};
     if (model.plan.cpu_fallback.has_value()) flows.push_back(model.plan.cpu_fallback->flow);
     for (const core::FlowKind flow : flows) {
@@ -165,7 +167,7 @@ double InferenceServer::NowUs() const {
 
 const ServedModel* InferenceServer::FindModel(const std::string& name) const {
   const auto it = models_.find(name);
-  return it != models_.end() ? &it->second : nullptr;
+  return it != models_.end() ? &it->second.model : nullptr;
 }
 
 std::vector<sim::Resource> InferenceServer::ResourcesOf(const ServedModel& model,
@@ -357,8 +359,10 @@ void InferenceServer::RunBatch(std::vector<QueuedRequest> batch,
   batch_size_hist.Record(static_cast<double>(live.size()));
   // By value: entries are moved into Respond() while the loop still runs.
   const std::string session_key = live.front().session_key;
-  const ServedModel* model = FindModel(live.front().request.model);
-  TNP_CHECK(model != nullptr);
+  const auto model_it = models_.find(live.front().request.model);
+  TNP_CHECK(model_it != models_.end());
+  const ServedModel* model = &model_it->second.model;
+  support::metrics::Histogram& model_hist = *model_it->second.latency_us;
   const core::FlowKind flow = live.front().flow;
 
   // The batch span links every member request: a micro-batched request's
@@ -447,9 +451,7 @@ void InferenceServer::RunBatch(std::vector<QueuedRequest> batch,
     if (response.status == ServeStatus::kOk) {
       run_hist.Record(response.run_us);
       request_hist.Record(response.total_us);
-      Registry::Global()
-          .GetHistogram("serve/model/" + response.model + "/us")
-          .Record(response.total_us);
+      model_hist.Record(response.total_us);
     }
     Respond(std::move(entry), std::move(response));
   }

@@ -50,6 +50,7 @@
 #include "serve/request.h"
 #include "serve/request_queue.h"
 #include "serve/session_pool.h"
+#include "support/metrics.h"
 #include "support/thread_pool.h"
 
 namespace tnp {
@@ -149,7 +150,12 @@ class InferenceServer {
   };
 
   ServerOptions options_;
-  std::map<std::string, ServedModel> models_;
+  struct ModelEntry {
+    ServedModel model;
+    /// "serve/model/<name>/us", resolved once per served model.
+    support::metrics::Histogram* latency_us;
+  };
+  std::map<std::string, ModelEntry> models_;
   core::ResourceLocks* locks_;
   SessionPool pool_;
   std::unique_ptr<HealthMonitor> health_;

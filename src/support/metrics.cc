@@ -1,6 +1,7 @@
 #include "support/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -10,14 +11,29 @@ namespace tnp {
 namespace support {
 namespace metrics {
 
+namespace {
+
+void AtomicMin(std::atomic<double>& target, double value) {
+  double observed = target.load(std::memory_order_relaxed);
+  while (value < observed &&
+         !target.compare_exchange_weak(observed, value, std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>& target, double value) {
+  double observed = target.load(std::memory_order_relaxed);
+  while (value > observed &&
+         !target.compare_exchange_weak(observed, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
 // ------------------------------------------------------------------ Gauge
 
 void Gauge::Set(double value) {
   value_.store(value, std::memory_order_relaxed);
-  double observed = max_.load(std::memory_order_relaxed);
-  while (value > observed &&
-         !max_.compare_exchange_weak(observed, value, std::memory_order_relaxed)) {
-  }
+  AtomicMax(max_, value);
 }
 
 void Gauge::Add(double delta) {
@@ -37,70 +53,192 @@ void Gauge::Reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-// -------------------------------------------------------------- Histogram
+// ---------------------------------------------------------- bucket layout
 
-void Histogram::Record(double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  ++count_;
-  sum_ += value;
-  sum_sq_ += value * value;
-  if (samples_.size() < kMaxSamples) samples_.push_back(value);
+namespace {
+
+/// 2^24: where the last octave ends and the overflow bucket begins.
+constexpr double kBucketedLimit = static_cast<double>(std::uint64_t{1} << kOctaves);
+constexpr int kSubBucketBits = 3;
+static_assert(1 << kSubBucketBits == kSubBuckets);
+constexpr int kMantissaBits = 52;  // IEEE-754 double
+constexpr int kExponentBias = 1023;
+
+/// Bucket 0 is 1 wide; octave [2^e, 2^(e+1)) has buckets 2^(e-3) wide.
+double BucketWidth(int bucket) {
+  if (bucket == 0) return 1.0;
+  return std::ldexp(1.0, (bucket - 1) / kSubBuckets - kSubBucketBits);
 }
 
-std::int64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
+/// Bucket edges as ranges of values: bucket 0 also holds negatives, the
+/// last bucket everything past 2^24.
+double LowerEdge(int bucket) {
+  return bucket == 0 ? -std::numeric_limits<double>::infinity() : BucketLowerBound(bucket);
+}
+double UpperEdge(int bucket) {
+  return bucket == kNumBuckets - 1 ? std::numeric_limits<double>::infinity()
+                                   : BucketUpperBound(bucket);
 }
 
-double Histogram::Percentile(double p) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank: the smallest value with at least p% of samples at or
-  // below it.
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t index = static_cast<std::size_t>(
-      std::clamp<double>(rank - 1.0, 0.0, static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
-}
-
-HistogramSummary Histogram::Summarize() const {
-  HistogramSummary summary;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    summary.count = count_;
-    if (count_ == 0) return summary;
-    summary.min = min_;
-    summary.max = max_;
-    const double n = static_cast<double>(count_);
-    summary.mean = sum_ / n;
-    const double variance = std::max(0.0, sum_sq_ / n - summary.mean * summary.mean);
-    summary.stddev = std::sqrt(variance);
+/// Pulls min/max into the lowest/highest non-empty bucket. Exact extremes
+/// already lie there; a window's are only known to the bucket, and a
+/// snapshot read while Reset() ran can pair old buckets with reset extremes.
+void ClampExtremes(HistogramSnapshot& snapshot) {
+  int lowest = 0;
+  while (snapshot.buckets[lowest] == 0) ++lowest;
+  int highest = kNumBuckets - 1;
+  while (snapshot.buckets[highest] == 0) --highest;
+  snapshot.min = std::clamp(snapshot.min, LowerEdge(lowest), UpperEdge(lowest));
+  snapshot.max = std::clamp(snapshot.max, LowerEdge(highest), UpperEdge(highest));
+  if (!(snapshot.min <= snapshot.max)) {  // both were reset: fall back to the edges
+    snapshot.min = BucketLowerBound(lowest);
+    snapshot.max = BucketUpperBound(highest);
   }
+}
+
+}  // namespace
+
+int BucketOf(double value) {
+  if (!(value >= 1.0)) return 0;
+  if (value >= kBucketedLimit) return kNumBuckets - 1;
+  // A double's biased exponent and top three mantissa bits are adjacent, so
+  // one shift yields (e + bias) * 8 + sub for a value in octave e.
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  const auto exponent_and_sub = static_cast<int>(bits >> (kMantissaBits - kSubBucketBits));
+  return 1 + exponent_and_sub - kExponentBias * kSubBuckets;
+}
+
+double BucketLowerBound(int bucket) {
+  if (bucket == 0) return 0.0;
+  const int sub = (bucket - 1) % kSubBuckets;
+  return static_cast<double>(kSubBuckets + sub) * BucketWidth(bucket);
+}
+
+double BucketUpperBound(int bucket) {
+  return BucketLowerBound(bucket) + BucketWidth(bucket);
+}
+
+// ------------------------------------------------------ HistogramSnapshot
+
+HistogramSnapshot& HistogramSnapshot::operator+=(const HistogramSnapshot& other) {
+  if (other.count == 0) return *this;
+  min = count == 0 ? other.min : std::min(min, other.min);
+  max = count == 0 ? other.max : std::max(max, other.max);
+  for (int i = 0; i < kNumBuckets; ++i) buckets[i] += other.buckets[i];
+  count += other.count;
+  sum += other.sum;
+  sum_sq += other.sum_sq;
+  return *this;
+}
+
+HistogramSnapshot& HistogramSnapshot::operator-=(const HistogramSnapshot& earlier) {
+  for (int i = 0; i < kNumBuckets; ++i) buckets[i] -= earlier.buckets[i];
+  count -= earlier.count;
+  sum -= earlier.sum;
+  sum_sq -= earlier.sum_sq;
+  if (count == 0) {
+    *this = HistogramSnapshot{};
+    return *this;
+  }
+  ClampExtremes(*this);
+  return *this;
+}
+
+double HistogramSnapshot::Percentile(double p) const {
+  if (count == 0) return 0.0;
+  const double rank = std::max(1.0, std::ceil(p / 100.0 * static_cast<double>(count)));
+  std::uint64_t cumulative = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    const std::uint64_t in_bucket = buckets[i];
+    if (in_bucket == 0 || static_cast<double>(cumulative + in_bucket) < rank) {
+      cumulative += in_bucket;
+      continue;
+    }
+    // Buckets at most 1 wide report their lower bound, so integer samples
+    // stay exact. In wider ones the samples spread evenly over the width;
+    // the overflow bucket stretches to the observed max.
+    double value = BucketLowerBound(i);
+    if (BucketWidth(i) > 1.0) {
+      const double upper = i == kNumBuckets - 1 ? std::max(BucketUpperBound(i), max)
+                                                : BucketUpperBound(i);
+      const double within = (rank - static_cast<double>(cumulative) - 0.5) /
+                            static_cast<double>(in_bucket);
+      value += within * (upper - value);
+    }
+    return std::min(std::max(value, min), max);
+  }
+  return max;
+}
+
+double HistogramSnapshot::FractionBelow(double threshold) const {
+  if (count == 0) return 1.0;
+  const int bucket = BucketOf(threshold);
+  double below = 0.0;
+  for (int i = 0; i < bucket; ++i) below += static_cast<double>(buckets[i]);
+  const double lower = BucketLowerBound(bucket);
+  const double within =
+      std::clamp((threshold - lower) / (BucketUpperBound(bucket) - lower), 0.0, 1.0);
+  below += within * static_cast<double>(buckets[bucket]);
+  return below / static_cast<double>(count);
+}
+
+HistogramSummary HistogramSnapshot::Summarize() const {
+  HistogramSummary summary;
+  summary.count = static_cast<std::int64_t>(count);
+  if (count == 0) return summary;
+  summary.min = min;
+  summary.max = max;
+  const double n = static_cast<double>(count);
+  summary.mean = sum / n;
+  summary.stddev = std::sqrt(std::max(0.0, sum_sq / n - summary.mean * summary.mean));
   summary.p50 = Percentile(50.0);
   summary.p95 = Percentile(95.0);
   summary.p99 = Percentile(99.0);
   return summary;
 }
 
-void Histogram::DrainSamplesSince(std::size_t* cursor, std::vector<double>* out) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (*cursor > samples_.size()) *cursor = 0;  // Reset() rewound the samples
-  for (std::size_t i = *cursor; i < samples_.size(); ++i) out->push_back(samples_[i]);
-  *cursor = samples_.size();
+// -------------------------------------------------------------- Histogram
+
+void Histogram::Record(double value) {
+  AtomicMin(min_, value);
+  AtomicMax(max_, value);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  sum_sq_.fetch_add(value * value, std::memory_order_relaxed);
+  // Release: a Snapshot() that sees this count also sees min/max above.
+  buckets_[static_cast<std::size_t>(BucketOf(value))].fetch_add(1, std::memory_order_release);
+}
+
+std::int64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& bucket : buckets_) total += bucket.load(std::memory_order_relaxed);
+  return static_cast<std::int64_t>(total);
+}
+
+double Histogram::Percentile(double p) const { return Snapshot().Percentile(p); }
+
+HistogramSummary Histogram::Summarize() const { return Snapshot().Summarize(); }
+
+HistogramSnapshot Histogram::Snapshot() const {
+  HistogramSnapshot snapshot;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    snapshot.buckets[i] = buckets_[static_cast<std::size_t>(i)].load(std::memory_order_acquire);
+    snapshot.count += snapshot.buckets[i];
+  }
+  if (snapshot.count == 0) return snapshot;
+  snapshot.sum = sum_.load(std::memory_order_relaxed);
+  snapshot.sum_sq = sum_sq_.load(std::memory_order_relaxed);
+  snapshot.min = min_.load(std::memory_order_relaxed);
+  snapshot.max = max_.load(std::memory_order_relaxed);
+  ClampExtremes(snapshot);
+  return snapshot;
 }
 
 void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  samples_.clear();
-  count_ = 0;
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  sum_sq_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------- Registry

@@ -14,9 +14,11 @@
 //   metrics::Registry::Global().DumpText(std::cout);
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,33 +65,81 @@ struct HistogramSummary {
   double p99 = 0.0;
 };
 
-/// Latency histogram: retains up to `kMaxSamples` raw samples for exact
-/// percentiles (nearest-rank); count/sum/min/max keep counting past the cap.
+// Log-linear bucket layout shared by every histogram. Bucket 0 holds
+// [0, 1) (and negative or NaN values); above that each power of two
+// [2^e, 2^(e+1)), e = 0..23, is cut into 8 equal buckets, so a bucket is
+// never wider than 1/8 of its lower bound and every integer below 16 is a
+// bucket lower bound. The last bucket starts at 15 * 2^20 us (~15.7 s) and
+// also holds everything larger (the true max is kept separately).
+//
+// Error bound: a percentile lands in the same bucket as the exact
+// nearest-rank value, so from 1 us up it is off by at most
+// kMaxRelativeError (12.5%) of that value. Buckets at most 1 wide (below
+// 16) report their lower bound, so integer samples such as batch sizes are
+// exact; below 1 the error is under 1.
+constexpr int kSubBuckets = 8;  ///< per power of two
+constexpr int kOctaves = 24;    ///< [2^0, 2^24)
+constexpr int kNumBuckets = 1 + kOctaves * kSubBuckets;
+constexpr double kMaxRelativeError = 1.0 / kSubBuckets;
+
+int BucketOf(double value);
+double BucketLowerBound(int bucket);
+double BucketUpperBound(int bucket);
+
+/// Bucket counts and moments of a histogram at one instant, or of the
+/// difference between two instants (a window). Mergeable: `+=` adds a
+/// window, `-=` subtracts an earlier snapshot of the same histogram.
+///
+/// `min`/`max` are exact in a Histogram::Snapshot() (outside a concurrent
+/// Reset()). In a difference they are the later snapshot's exact [min, max]
+/// clamped into the lowest/highest non-empty bucket — a window's extremes
+/// are only known to bucket precision.
+struct HistogramSnapshot {
+  std::array<std::uint64_t, kNumBuckets> buckets{};
+  std::uint64_t count = 0;  ///< sum of `buckets`
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  HistogramSnapshot& operator+=(const HistogramSnapshot& other);
+  /// `earlier` must not hold more in any bucket than this snapshot does.
+  HistogramSnapshot& operator-=(const HistogramSnapshot& earlier);
+
+  /// Nearest-rank percentile, p in (0, 100]: finds the bucket holding the
+  /// rank, interpolates within it (buckets at most 1 wide report their
+  /// lower bound) and clamps to [min, max]. 0 when empty.
+  double Percentile(double p) const;
+  /// Fraction of samples strictly below `threshold`, interpolated within
+  /// the threshold's bucket; 1.0 when empty (no traffic is no violation).
+  double FractionBelow(double threshold) const;
+  HistogramSummary Summarize() const;
+};
+
+/// Latency histogram over the fixed bucket layout above. Record() is O(1),
+/// lock-free and allocation-free (a bit-arithmetic bucket index plus a few
+/// relaxed atomics), and the histogram stays truthful however many samples
+/// it sees; count/sum/min/max are exact, percentiles carry the layout's
+/// error bound.
 class Histogram {
  public:
-  static constexpr std::size_t kMaxSamples = 1u << 16;
-
   void Record(double value);
   std::int64_t count() const;
-  /// Nearest-rank percentile over the retained samples, p in (0, 100].
+  /// Snapshot().Percentile(p).
   double Percentile(double p) const;
   HistogramSummary Summarize() const;
-  /// Append the raw samples recorded since `*cursor` to `out` and advance
-  /// the cursor — how the time-series collector drains new samples into its
-  /// per-second ring. Only the first kMaxSamples are retained; past the cap
-  /// the cursor saturates. A cursor beyond the current size (the histogram
-  /// was Reset) restarts from zero.
-  void DrainSamplesSince(std::size_t* cursor, std::vector<double>* out) const;
+  /// Consistent enough for windows: every bucket read is a monotonic
+  /// counter, so differences of successive snapshots never lose or double
+  /// count a sample.
+  HistogramSnapshot Snapshot() const;
   void Reset();
 
  private:
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
-  std::int64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  std::array<std::atomic<std::uint64_t>, kNumBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> sum_sq_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// One registered metric, for exporters iterating the registry. The

@@ -56,14 +56,14 @@ double SloTracker::ErrorFraction(const Tracked& tracked, int window_s) const {
     const timeseries::LatencySeries* series =
         collector_->FindHistogram(objective.histogram);
     if (series == nullptr) return 0.0;
-    return 1.0 - series->FractionBelow(objective.threshold_us, window_s);
+    return 1.0 - series->Merge(window_s).FractionBelow(objective.threshold_us);
   }
   const timeseries::RateSeries* bad = collector_->FindCounter(objective.bad_counter);
   const timeseries::RateSeries* total = collector_->FindCounter(objective.total_counter);
   if (bad == nullptr || total == nullptr) return 0.0;
-  const std::int64_t total_events = total->DeltaOver(window_s);
+  const std::int64_t total_events = total->Merge(window_s);
   if (total_events <= 0) return 0.0;  // no traffic = no errors
-  const std::int64_t bad_events = std::min(bad->DeltaOver(window_s), total_events);
+  const std::int64_t bad_events = std::min(bad->Merge(window_s), total_events);
   return static_cast<double>(bad_events) / static_cast<double>(total_events);
 }
 

@@ -5,7 +5,8 @@
 //
 //   - latency form: "target of the samples in <histogram> complete under
 //     threshold_us" (e.g. "99% of admitted p2 requests finish < 20ms"),
-//     evaluated from a tracked LatencySeries' windowed CDF;
+//     evaluated from the CDF of a tracked LatencySeries' window (the
+//     histogram's bucket-count deltas over that window);
 //   - availability form: "at most (1 - target) of <total_counter> events are
 //     <bad_counter> events" (e.g. sheds per submission), evaluated from two
 //     tracked RateSeries.

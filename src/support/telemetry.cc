@@ -1,6 +1,5 @@
 #include "support/telemetry.h"
 
-#include <string>
 #include <vector>
 
 #include "support/metrics.h"
@@ -10,19 +9,6 @@
 
 namespace tnp {
 namespace support {
-
-namespace {
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool IsTelemetryDerived(const std::string& name) {
-  return name.rfind("telemetry/", 0) == 0;
-}
-
-}  // namespace
 
 TelemetrySampler::TelemetrySampler(TelemetrySamplerOptions options)
     : options_(options) {}
@@ -65,23 +51,13 @@ void TelemetrySampler::AddSampleCallback(std::function<void()> callback) {
 }
 
 void TelemetrySampler::SampleOnce() {
-  using metrics::MetricRef;
   if (options_.advance_timeseries) timeseries::Collector::Global().Tick();
   if (options_.sample_profiler) profiler::Profiler::Global().SampleOnce();
-  const std::vector<MetricRef> refs = metrics::Registry::Global().Entries();
-  for (const MetricRef& ref : refs) {
-    if (IsTelemetryDerived(ref.name)) continue;  // never sample our own output
-    if (options_.publish_trace_counters && ref.gauge != nullptr) {
-      TNP_TRACE_COUNTER("telemetry", ref.name, ref.gauge->value());
-    }
-    if (options_.publish_percentiles && ref.histogram != nullptr &&
-        EndsWith(ref.name, "/us")) {
-      const metrics::HistogramSummary s = ref.histogram->Summarize();
-      if (s.count == 0) continue;
-      auto& registry = metrics::Registry::Global();
-      registry.GetGauge("telemetry/" + ref.name + "/p50").Set(s.p50);
-      registry.GetGauge("telemetry/" + ref.name + "/p95").Set(s.p95);
-      registry.GetGauge("telemetry/" + ref.name + "/p99").Set(s.p99);
+  if (options_.publish_trace_counters) {
+    for (const metrics::MetricRef& ref : metrics::Registry::Global().Entries()) {
+      if (ref.gauge != nullptr) {
+        TNP_TRACE_COUNTER("telemetry", ref.name, ref.gauge->value());
+      }
     }
   }
   std::vector<std::function<void()>> callbacks;

@@ -1,18 +1,16 @@
 // Periodic telemetry sampler: a background thread that, on a fixed cadence,
-// re-publishes the live operational signals so they become *time series*
-// instead of point-in-time numbers:
+// drives the periodic observers of the process:
 //
 //   - every gauge (queue depths, session-pool occupancy, arena bytes) is
 //     emitted as a Chrome-trace counter track, so the exported trace shows
 //     queue depth / pool in-flight / arena high-watermark over time;
-//   - every latency histogram (names ending "/us") publishes its rolling
-//     p50/p95/p99 as gauges under "telemetry/<name>/p50|p95|p99", giving
-//     exporters and the flight recorder current-percentile visibility
-//     without touching raw samples.
+//   - the windowed time-series collector (timeseries.h) is ticked, which is
+//     where recent-traffic percentiles live (registry histograms carry the
+//     cumulative ones);
+//   - the always-on sampling profiler takes one sample.
 //
-// The sampler is passive observation only: it never resets a metric, and
-// anything it publishes under "telemetry/" is excluded from sampling so the
-// cadence cannot feed back on itself.
+// The sampler is passive observation only: it never resets a metric and
+// publishes nothing into the registry.
 #pragma once
 
 #include <atomic>
@@ -31,8 +29,6 @@ struct TelemetrySamplerOptions {
   std::chrono::milliseconds period{50};
   /// Gauges -> Chrome-trace counter tracks (requires the tracer enabled).
   bool publish_trace_counters = true;
-  /// "/us" histograms -> "telemetry/<name>/p50|p95|p99" gauges.
-  bool publish_percentiles = true;
   /// Advance the windowed time-series collector (timeseries.h) each pass,
   /// making the sampler cadence the clock that fills the per-second ring.
   /// Turn off when something else owns Collector::Tick (a test's injected

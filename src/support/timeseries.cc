@@ -12,210 +12,75 @@ namespace tnp {
 namespace support {
 namespace timeseries {
 
-// ------------------------------------------------------------- LatencyGrid
+// -------------------------------------------------------------- SecondRing
 
-const std::array<double, LatencyGrid::kNumBounds>& LatencyGrid::Bounds() {
-  static const std::array<double, kNumBounds> bounds = [] {
-    std::array<double, kNumBounds> b{};
-    double value = 1.0;
-    for (int i = 0; i < kNumBounds; ++i) {
-      b[static_cast<std::size_t>(i)] = value;
-      value *= 1.25;
-    }
-    return b;
-  }();
-  return bounds;
-}
-
-int LatencyGrid::BucketOf(double value_us) {
-  const auto& bounds = Bounds();
-  // Bucket i covers [bounds[i-1], bounds[i]); bucket 0 covers [0, 1us).
-  const auto it = std::upper_bound(bounds.begin(), bounds.end(), value_us);
-  if (it == bounds.end()) return kNumBounds - 1;  // clamp overflow
-  return static_cast<int>(it - bounds.begin());
-}
-
-namespace {
-
-/// Value at `rank` (1-based) within a merged grid: linear interpolation
-/// inside the bucket that crosses the rank, clamped to [min, max].
-double GridValueAtRank(const std::array<std::uint64_t, LatencyGrid::kNumBounds>& merged,
-                       std::int64_t total, double rank, double min, double max) {
-  const auto& bounds = LatencyGrid::Bounds();
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < LatencyGrid::kNumBounds; ++i) {
-    const std::uint64_t in_bucket = merged[static_cast<std::size_t>(i)];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= rank) {
-      const double lo = i == 0 ? 0.0 : bounds[static_cast<std::size_t>(i - 1)];
-      const double hi = bounds[static_cast<std::size_t>(i)];
-      const double within = (rank - static_cast<double>(cumulative)) /
-                            static_cast<double>(in_bucket);
-      return std::clamp(lo + within * (hi - lo), min, max);
-    }
-    cumulative += in_bucket;
-  }
-  (void)total;
-  return max;
-}
-
-}  // namespace
-
-// -------------------------------------------------------------- RateSeries
-
-RateSeries::RateSeries(int window_seconds) {
+template <typename T>
+SecondRing<T>::SecondRing(int window_seconds) {
   TNP_CHECK(window_seconds > 0) << "time-series window must be positive";
-  buckets_.resize(static_cast<std::size_t>(window_seconds));
+  slots_.resize(static_cast<std::size_t>(window_seconds));
 }
 
-void RateSeries::AddDelta(std::int64_t delta) {
+template <typename T>
+void SecondRing<T>::Add(const T& delta) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(now_sec_) % buckets_.size()];
-  if (bucket.second != now_sec_) {
-    bucket.second = now_sec_;
-    bucket.count = 0;
+  Slot& slot = slots_[static_cast<std::size_t>(now_sec_) % slots_.size()];
+  if (slot.second != now_sec_) {
+    slot.second = now_sec_;
+    slot.value = T{};
   }
-  bucket.count += delta;
+  slot.value += delta;
 }
 
-void RateSeries::Advance(std::int64_t now_sec) {
+template <typename T>
+void SecondRing<T>::Advance(std::int64_t now_sec) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (now_sec <= now_sec_) return;  // never rewind
   // Zero every second we skipped over (bounded by the ring size).
-  const std::int64_t first = std::max(now_sec_ + 1, now_sec - static_cast<std::int64_t>(buckets_.size()) + 1);
+  const std::int64_t first =
+      std::max(now_sec_ + 1, now_sec - static_cast<std::int64_t>(slots_.size()) + 1);
   for (std::int64_t s = first; s <= now_sec; ++s) {
-    Bucket& bucket = buckets_[static_cast<std::size_t>(s) % buckets_.size()];
-    bucket.second = s;
-    bucket.count = 0;
+    Slot& slot = slots_[static_cast<std::size_t>(s) % slots_.size()];
+    slot.second = s;
+    slot.value = T{};
   }
   now_sec_ = now_sec;
 }
 
-std::int64_t RateSeries::DeltaOver(int seconds) const {
+template <typename T>
+T SecondRing<T>::Merge(int seconds) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  seconds = std::clamp<int>(seconds, 1, static_cast<int>(buckets_.size()));
-  std::int64_t total = 0;
+  seconds = std::clamp<int>(seconds, 1, static_cast<int>(slots_.size()));
+  T total{};
   for (int back = 0; back < seconds; ++back) {
     const std::int64_t s = now_sec_ - back;
     if (s < 0) break;
-    const Bucket& bucket = buckets_[static_cast<std::size_t>(s) % buckets_.size()];
-    if (bucket.second == s) total += bucket.count;
+    const Slot& slot = slots_[static_cast<std::size_t>(s) % slots_.size()];
+    if (slot.second == s) total += slot.value;
   }
   return total;
 }
+
+template class SecondRing<std::int64_t>;
+template class SecondRing<metrics::HistogramSnapshot>;
 
 double RateSeries::RateOver(int seconds) const {
   seconds = std::clamp<int>(seconds, 1, window_seconds());
-  return static_cast<double>(DeltaOver(seconds)) / static_cast<double>(seconds);
-}
-
-// ----------------------------------------------------------- LatencySeries
-
-LatencySeries::LatencySeries(int window_seconds) {
-  TNP_CHECK(window_seconds > 0) << "time-series window must be positive";
-  buckets_.resize(static_cast<std::size_t>(window_seconds));
-}
-
-void LatencySeries::Record(double value_us) {
-  const int grid = LatencyGrid::BucketOf(value_us);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(now_sec_) % buckets_.size()];
-  if (bucket.second != now_sec_) {
-    bucket.second = now_sec_;
-    bucket.count = 0;
-    bucket.sum = 0.0;
-    bucket.counts.fill(0);
-  }
-  if (bucket.count == 0 || value_us < bucket.min) bucket.min = value_us;
-  if (bucket.count == 0 || value_us > bucket.max) bucket.max = value_us;
-  ++bucket.count;
-  bucket.sum += value_us;
-  ++bucket.counts[static_cast<std::size_t>(grid)];
-}
-
-void LatencySeries::Advance(std::int64_t now_sec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (now_sec <= now_sec_) return;
-  const std::int64_t first = std::max(now_sec_ + 1, now_sec - static_cast<std::int64_t>(buckets_.size()) + 1);
-  for (std::int64_t s = first; s <= now_sec; ++s) {
-    Bucket& bucket = buckets_[static_cast<std::size_t>(s) % buckets_.size()];
-    bucket.second = s;
-    bucket.count = 0;
-    bucket.sum = 0.0;
-    bucket.min = 0.0;
-    bucket.max = 0.0;
-    bucket.counts.fill(0);
-  }
-  now_sec_ = now_sec;
-}
-
-std::int64_t LatencySeries::MergeWindow(
-    int seconds, std::array<std::uint64_t, LatencyGrid::kNumBounds>& merged,
-    double* sum, double* min, double* max) const {
-  std::int64_t total = 0;
-  for (int back = 0; back < seconds; ++back) {
-    const std::int64_t s = now_sec_ - back;
-    if (s < 0) break;
-    const Bucket& bucket = buckets_[static_cast<std::size_t>(s) % buckets_.size()];
-    if (bucket.second != s || bucket.count == 0) continue;
-    if (total == 0 || bucket.min < *min) *min = bucket.min;
-    if (total == 0 || bucket.max > *max) *max = bucket.max;
-    total += bucket.count;
-    *sum += bucket.sum;
-    for (int i = 0; i < LatencyGrid::kNumBounds; ++i) {
-      merged[static_cast<std::size_t>(i)] += bucket.counts[static_cast<std::size_t>(i)];
-    }
-  }
-  return total;
+  return static_cast<double>(Merge(seconds)) / static_cast<double>(seconds);
 }
 
 WindowStats LatencySeries::Summarize(int seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  seconds = std::clamp<int>(seconds, 1, static_cast<int>(buckets_.size()));
-  std::array<std::uint64_t, LatencyGrid::kNumBounds> merged{};
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
+  seconds = std::clamp<int>(seconds, 1, window_seconds());
+  const metrics::HistogramSummary merged = Merge(seconds).Summarize();
   WindowStats stats;
-  stats.count = MergeWindow(seconds, merged, &sum, &min, &max);
-  stats.rate_per_sec = static_cast<double>(stats.count) / static_cast<double>(seconds);
-  if (stats.count == 0) return stats;
-  stats.min = min;
-  stats.max = max;
-  stats.mean = sum / static_cast<double>(stats.count);
-  const auto rank = [&stats](double p) {
-    return std::ceil(p / 100.0 * static_cast<double>(stats.count));
-  };
-  stats.p50 = GridValueAtRank(merged, stats.count, rank(50.0), min, max);
-  stats.p95 = GridValueAtRank(merged, stats.count, rank(95.0), min, max);
-  stats.p99 = GridValueAtRank(merged, stats.count, rank(99.0), min, max);
+  stats.count = merged.count;
+  stats.rate_per_sec = static_cast<double>(merged.count) / static_cast<double>(seconds);
+  stats.min = merged.min;
+  stats.max = merged.max;
+  stats.mean = merged.mean;
+  stats.p50 = merged.p50;
+  stats.p95 = merged.p95;
+  stats.p99 = merged.p99;
   return stats;
-}
-
-double LatencySeries::FractionBelow(double threshold_us, int seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  seconds = std::clamp<int>(seconds, 1, static_cast<int>(buckets_.size()));
-  std::array<std::uint64_t, LatencyGrid::kNumBounds> merged{};
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  const std::int64_t total = MergeWindow(seconds, merged, &sum, &min, &max);
-  if (total == 0) return 1.0;  // no traffic = no violations
-  const auto& bounds = LatencyGrid::Bounds();
-  const int threshold_bucket = LatencyGrid::BucketOf(threshold_us);
-  std::uint64_t below = 0;
-  for (int i = 0; i < threshold_bucket; ++i) below += merged[static_cast<std::size_t>(i)];
-  // Partial credit for the bucket the threshold lands in (linear within).
-  const std::uint64_t in_bucket = merged[static_cast<std::size_t>(threshold_bucket)];
-  if (in_bucket > 0) {
-    const double lo = threshold_bucket == 0
-                          ? 0.0
-                          : bounds[static_cast<std::size_t>(threshold_bucket - 1)];
-    const double hi = bounds[static_cast<std::size_t>(threshold_bucket)];
-    const double within = std::clamp((threshold_us - lo) / (hi - lo), 0.0, 1.0);
-    below += static_cast<std::uint64_t>(within * static_cast<double>(in_bucket));
-  }
-  return static_cast<double>(below) / static_cast<double>(total);
 }
 
 // --------------------------------------------------------------- Collector
@@ -253,6 +118,10 @@ LatencySeries& Collector::TrackHistogram(const std::string& name) {
   tracked.name = name;
   tracked.series = std::make_unique<LatencySeries>(options_.window_seconds);
   tracked.series->Advance(now_sec_);
+  // Baseline: what the histogram already holds belongs to the cumulative
+  // registry, not the window.
+  tracked.histogram = metrics::Registry::Global().FindHistogram(name);
+  if (tracked.histogram != nullptr) tracked.last = tracked.histogram->Snapshot();
   histograms_.push_back(std::move(tracked));
   return *histograms_.back().series;
 }
@@ -302,7 +171,7 @@ void Collector::TickLocked(std::int64_t now_sec) {
       continue;
     }
     if (value > tracked.last_value) {
-      tracked.series->AddDelta(value - tracked.last_value);
+      tracked.series->Add(value - tracked.last_value);
     } else if (value < tracked.last_value) {
       // Registry::Reset() rewound the counter; re-prime from the new base.
       tracked.last_value = value;
@@ -312,11 +181,19 @@ void Collector::TickLocked(std::int64_t now_sec) {
   }
   for (auto& tracked : histograms_) {
     tracked.series->Advance(now_sec_);
-    const metrics::Histogram* histogram = registry.FindHistogram(tracked.name);
-    if (histogram == nullptr) continue;
-    drain_scratch_.clear();
-    histogram->DrainSamplesSince(&tracked.cursor, &drain_scratch_);
-    for (const double sample : drain_scratch_) tracked.series->Record(sample);
+    if (tracked.histogram == nullptr) tracked.histogram = registry.FindHistogram(tracked.name);
+    if (tracked.histogram == nullptr) continue;
+    const metrics::HistogramSnapshot now = tracked.histogram->Snapshot();
+    bool rewound = false;  // Registry::Reset() since the last Tick: re-prime
+    for (int i = 0; i < metrics::kNumBuckets; ++i) {
+      rewound = rewound || now.buckets[i] < tracked.last.buckets[i];
+    }
+    if (!rewound) {
+      metrics::HistogramSnapshot delta = now;
+      delta -= tracked.last;
+      if (delta.count > 0) tracked.series->Add(delta);
+    }
+    tracked.last = now;
   }
 }
 
@@ -356,7 +233,7 @@ std::string Collector::ExportJson(const std::vector<int>& windows) const {
       if (!first_window) out += ",";
       first_window = false;
       out += quote(std::to_string(w) + "s") + ":{\"delta\":" +
-             std::to_string(tracked.series->DeltaOver(w)) +
+             std::to_string(tracked.series->Merge(w)) +
              ",\"rate_per_sec\":" + number(tracked.series->RateOver(w)) + "}";
     }
     out += "}";

@@ -1,26 +1,25 @@
-// Windowed time-series metrics: a fixed-size ring of per-second buckets over
+// Windowed time-series metrics: a fixed-size ring of per-second slots over
 // which "what happened in the last N seconds?" queries are answered by
-// merging buckets on read — the live complement to metrics.h's cumulative
+// merging slots on read — the live complement to metrics.h's cumulative
 // since-process-start registry.
 //
-// Two series kinds:
+// Two series kinds share one ring (SecondRing):
 //
 //   - RateSeries: per-second event-count deltas of a monotonically growing
 //     counter. Window queries answer rate (events/sec) and total delta.
-//   - LatencySeries: per-second latency histograms over a fixed geometric
-//     bucket grid (~25% spacing). Record() is O(1) — a binary search over
-//     the compile-time grid plus a few adds into preallocated storage, no
-//     heap allocation — and window queries merge bucket counts on read to
-//     produce approximate p50/p95/p99 (error bounded by one grid step,
-//     clamped to the window's observed min/max).
+//   - LatencySeries: per-second metrics::HistogramSnapshot deltas of a
+//     registry histogram. A window is the sum of its seconds' bucket-count
+//     deltas, so its percentiles come from the same HistogramSnapshot
+//     routine (and carry the same error bound) as the registry's; its count
+//     and mean (from sum deltas) are exact, its min/max bucket-precise.
 //
 // The Collector owns the clock: Tick() advances every series to the current
-// second (zeroing buckets that fell out of the ring) and pulls tracked
-// registry metrics — counter deltas, and raw samples newly appended to
-// tracked histograms — into the current bucket. The TelemetrySampler cadence
-// thread calls Tick() each pass; tests drive Tick(now_sec) with synthetic
-// time for determinism. Any metrics::Registry counter/histogram is trackable
-// by name:
+// second (zeroing slots that fell out of the ring) and pulls tracked
+// registry metrics — the counter delta, and the difference between each
+// tracked histogram's snapshot and the one taken at the previous Tick —
+// into the current slot. The TelemetrySampler cadence thread calls Tick()
+// each pass; tests drive Tick(now_sec) with synthetic time for determinism.
+// Any metrics::Registry counter/histogram is trackable by name:
 //
 //   auto& lat = timeseries::Collector::Global().TrackHistogram("serve/request/us");
 //   ... traffic ...
@@ -28,19 +27,16 @@
 //   // w.rate_per_sec, w.p50, w.p95, w.p99
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "support/metrics.h"
+
 namespace tnp {
 namespace support {
-namespace metrics {
-class Registry;
-}  // namespace metrics
-
 namespace timeseries {
 
 /// Merged view over the last N seconds of a series.
@@ -55,85 +51,50 @@ struct WindowStats {
   double p99 = 0.0;
 };
 
-/// Geometric latency grid shared by every LatencySeries: bound[i] =
-/// 1.25^i microseconds, covering [0, ~1.2e7us]. Values past the last bound
-/// clamp into the final bucket (the bucket max keeps the true ceiling).
-class LatencyGrid {
+/// Ring of `window_seconds` per-second slots of T (a count, or a histogram
+/// snapshot delta). Thread-safe; T needs `+=` and a zero default value.
+template <typename T>
+class SecondRing {
  public:
-  static constexpr int kNumBounds = 74;
-  static const std::array<double, kNumBounds>& Bounds();
-  /// Index of the bucket holding `value_us` (binary search, O(log bounds)).
-  static int BucketOf(double value_us);
+  explicit SecondRing(int window_seconds);
+
+  /// Add `delta` to the slot for the current second.
+  void Add(const T& delta);
+  /// Rotate the ring forward to `now_sec`, zeroing slots that lapse.
+  void Advance(std::int64_t now_sec);
+  /// Sum of the last `seconds` slots (clamped to [1, ring size]).
+  T Merge(int seconds) const;
+
+  int window_seconds() const { return static_cast<int>(slots_.size()); }
+
+ private:
+  struct Slot {
+    std::int64_t second = -1;  ///< epoch tag; -1 = never written
+    T value{};
+  };
+
+  mutable std::mutex mutex_;
+  std::vector<Slot> slots_;
+  std::int64_t now_sec_ = 0;
 };
 
 /// Per-second event-count deltas of one counter.
-class RateSeries {
+class RateSeries : public SecondRing<std::int64_t> {
  public:
-  explicit RateSeries(int window_seconds);
+  using SecondRing::SecondRing;
 
-  /// Add `delta` events to the bucket for the current second.
-  void AddDelta(std::int64_t delta);
-  /// Rotate the ring forward to `now_sec`, zeroing buckets that lapse.
-  void Advance(std::int64_t now_sec);
-
-  /// Events during the last `seconds` (capped at the ring size).
-  std::int64_t DeltaOver(int seconds) const;
-  /// DeltaOver / seconds.
+  /// Merge(seconds) / seconds: events per second over the window.
   double RateOver(int seconds) const;
-
-  int window_seconds() const { return static_cast<int>(buckets_.size()); }
-
- private:
-  struct Bucket {
-    std::int64_t second = -1;  ///< epoch tag; -1 = never written
-    std::int64_t count = 0;
-  };
-
-  mutable std::mutex mutex_;
-  std::vector<Bucket> buckets_;
-  std::int64_t now_sec_ = 0;
 };
 
-/// Per-second bucketed latency histograms of one "/us" metric.
-class LatencySeries {
+/// Per-second histogram deltas of one "/us" metric; Merge(seconds) is the
+/// window's HistogramSnapshot (what SLO burn rates read).
+class LatencySeries : public SecondRing<metrics::HistogramSnapshot> {
  public:
-  explicit LatencySeries(int window_seconds);
+  using SecondRing::SecondRing;
 
-  /// O(1), allocation-free: adds the sample to the current second's bucket.
-  void Record(double value_us);
-  /// Rotate the ring forward to `now_sec`, zeroing buckets that lapse.
-  void Advance(std::int64_t now_sec);
-
-  /// Merge the last `seconds` of buckets: count, rate, mean, min/max, and
-  /// grid-interpolated p50/p95/p99 (clamped to the window's min/max, so a
-  /// constant-valued window reports exact percentiles).
+  /// Merge the last `seconds`: count, rate, mean, min/max and p50/p95/p99.
   WindowStats Summarize(int seconds) const;
-  /// Fraction of the window's samples strictly below `threshold_us`
-  /// (grid-interpolated); 1.0 for an empty window — no traffic is not a
-  /// violation, which is what SLO error-rate math wants.
-  double FractionBelow(double threshold_us, int seconds) const;
-
-  int window_seconds() const { return static_cast<int>(buckets_.size()); }
-
- private:
-  struct Bucket {
-    std::int64_t second = -1;
-    std::int64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::array<std::uint32_t, LatencyGrid::kNumBounds> counts{};
-  };
-
-  /// Merge the window's buckets into `merged` (caller-provided, stack).
-  /// Returns aggregate count. Caller holds mutex_.
-  std::int64_t MergeWindow(int seconds,
-                           std::array<std::uint64_t, LatencyGrid::kNumBounds>& merged,
-                           double* sum, double* min, double* max) const;
-
-  mutable std::mutex mutex_;
-  std::vector<Bucket> buckets_;
-  std::int64_t now_sec_ = 0;
 };
 
 struct CollectorOptions {
@@ -151,10 +112,11 @@ class Collector {
   /// itself is created on first Tick if absent). The reference stays valid
   /// for the collector's lifetime.
   RateSeries& TrackCounter(const std::string& name);
-  /// Track a registry latency histogram by name: each Tick pulls the raw
-  /// samples appended since the previous Tick into the ring. (Only the
-  /// histogram's first kMaxSamples are retained by the registry; past that
-  /// cap the series stops receiving new samples.)
+  /// Track a registry latency histogram by name: each Tick adds the
+  /// histogram's growth since the previous Tick to the ring. Samples
+  /// recorded before tracking started stay out of the windows. A
+  /// Registry::Reset() between ticks re-primes the baseline (that Tick adds
+  /// nothing), as for counters.
   LatencySeries& TrackHistogram(const std::string& name);
 
   RateSeries* FindCounter(const std::string& name) const;
@@ -183,7 +145,8 @@ class Collector {
   struct TrackedHistogram {
     std::string name;
     std::unique_ptr<LatencySeries> series;
-    std::size_t cursor = 0;  ///< registry raw-sample drain position
+    const metrics::Histogram* histogram = nullptr;  ///< resolved on first sight
+    metrics::HistogramSnapshot last;  ///< cumulative at the previous Tick
   };
 
   void TickLocked(std::int64_t now_sec);
@@ -192,7 +155,6 @@ class Collector {
   mutable std::mutex mutex_;
   std::vector<TrackedCounter> counters_;
   std::vector<TrackedHistogram> histograms_;
-  std::vector<double> drain_scratch_;  ///< reused across Ticks
   std::int64_t now_sec_ = 0;
   std::int64_t epoch_steady_ns_ = 0;  ///< steady_clock origin for Tick()
 };

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <unordered_set>
+#include <vector>
 
 #include "kernels/gemm.h"
 #include "kernels/scratch.h"
 #include "support/logging.h"
-#include "support/metrics.h"
 #include "support/rng.h"
 
 namespace tnp {
@@ -30,19 +30,22 @@ struct TileCandidate {
 };
 constexpr TileCandidate kF32Tiles[] = {{4, 8}, {6, 8}, {8, 4}, {4, 16}};
 
-/// Median of `repetitions` timed runs of `fn`, one warmup first, through a
-/// LOCAL histogram — the same nearest-rank median the bench harnesses use,
-/// but never the shared registry entry, so concurrent TuneWorkload calls
-/// (or a metrics scrape mid-sweep) cannot interleave samples.
+/// Exact nearest-rank median of `repetitions` timed runs of `fn`, one warmup
+/// first. Exact rather than bucketed so that close candidate configs never
+/// tie, and local so that concurrent TuneWorkload calls cannot interleave.
 double MeasureMedianUs(int repetitions, const std::function<void()>& fn) {
-  support::metrics::Histogram histogram;
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(std::max(repetitions, 1)));
   fn();  // warmup: first touch of panels/output
   for (int i = 0; i < repetitions; ++i) {
     const auto start = Clock::now();
     fn();
-    histogram.Record(ElapsedUs(start));
+    samples.push_back(ElapsedUs(start));
   }
-  return histogram.Summarize().p50;
+  if (samples.empty()) return 0.0;
+  const auto median = samples.begin() + static_cast<std::ptrdiff_t>((samples.size() - 1) / 2);
+  std::nth_element(samples.begin(), median, samples.end());
+  return *median;
 }
 
 }  // namespace

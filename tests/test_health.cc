@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "core/flows.h"
@@ -66,124 +67,64 @@ using support::timeseries::LatencySeries;
 using support::timeseries::RateSeries;
 using support::timeseries::WindowStats;
 
-/// Deterministic pseudo-random stream (no <random> allocation surprises).
-struct Lcg {
-  std::uint64_t state = 0x853c49e6748fea9bULL;
-  std::uint64_t Next() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  }
-};
-
-/// Nearest-rank percentile over raw samples — the scalar reference the
-/// grid-bucketed window estimate is validated against.
-double ReferencePercentile(std::vector<double> samples, double p) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(samples.size())));
-  return samples[std::max<std::size_t>(rank, 1) - 1];
-}
-
 // ---------------------------------------------------------------------------
 // RateSeries / LatencySeries
 // ---------------------------------------------------------------------------
 
 TEST(TimeSeries, RateWindowsMergeAndExpire) {
   RateSeries series(10);
-  series.AddDelta(5);  // second 0
+  series.Add(5);  // second 0
   series.Advance(1);
-  series.AddDelta(3);  // second 1
+  series.Add(3);  // second 1
   series.Advance(2);
-  series.AddDelta(2);  // second 2
+  series.Add(2);  // second 2
 
-  EXPECT_EQ(series.DeltaOver(1), 2);
-  EXPECT_EQ(series.DeltaOver(2), 5);
-  EXPECT_EQ(series.DeltaOver(10), 10);
+  EXPECT_EQ(series.Merge(1), 2);
+  EXPECT_EQ(series.Merge(2), 5);
+  EXPECT_EQ(series.Merge(10), 10);
   EXPECT_DOUBLE_EQ(series.RateOver(2), 2.5);
 
   // 12 seconds later every bucket above lapsed out of the 10s ring.
   series.Advance(14);
-  EXPECT_EQ(series.DeltaOver(10), 0);
+  EXPECT_EQ(series.Merge(10), 0);
   // Requests wider than the ring clamp to the ring.
-  series.AddDelta(7);
-  EXPECT_EQ(series.DeltaOver(1000), 7);
-}
-
-TEST(TimeSeries, ConstantWindowReportsExactPercentiles) {
-  LatencySeries series(10);
-  for (int i = 0; i < 500; ++i) series.Record(777.0);
-  const WindowStats stats = series.Summarize(10);
-  EXPECT_EQ(stats.count, 500);
-  // Min/max clamping makes a constant-valued window exact despite the
-  // ~25% geometric grid.
-  EXPECT_DOUBLE_EQ(stats.p50, 777.0);
-  EXPECT_DOUBLE_EQ(stats.p95, 777.0);
-  EXPECT_DOUBLE_EQ(stats.p99, 777.0);
-  EXPECT_DOUBLE_EQ(stats.mean, 777.0);
-  EXPECT_DOUBLE_EQ(stats.min, 777.0);
-  EXPECT_DOUBLE_EQ(stats.max, 777.0);
-}
-
-TEST(TimeSeries, WindowedPercentilesTrackScalarReference) {
-  // Synthetic traffic: heavy-tailed latencies spread across 10 seconds.
-  LatencySeries series(60);
-  Lcg rng;
-  std::vector<double> reference;
-  for (int second = 0; second < 10; ++second) {
-    series.Advance(second);
-    for (int i = 0; i < 1000; ++i) {
-      // 50us floor with a long multiplicative tail up to ~50ms.
-      const double value =
-          50.0 * std::pow(1.001, static_cast<double>(rng.Next() % 6932));
-      series.Record(value);
-      reference.push_back(value);
-    }
-  }
-  const WindowStats stats = series.Summarize(10);
-  ASSERT_EQ(stats.count, static_cast<std::int64_t>(reference.size()));
-
-  const double ref_p50 = ReferencePercentile(reference, 50.0);
-  const double ref_p95 = ReferencePercentile(reference, 95.0);
-  const double ref_p99 = ReferencePercentile(reference, 99.0);
-  // The geometric grid spaces bounds 25% apart: the estimate must land
-  // within one grid step of the true rank value.
-  EXPECT_NEAR(stats.p50, ref_p50, 0.25 * ref_p50);
-  EXPECT_NEAR(stats.p95, ref_p95, 0.25 * ref_p95);
-  EXPECT_NEAR(stats.p99, ref_p99, 0.25 * ref_p99);
-  // And the narrow window sees only the recent second.
-  const WindowStats last_second = series.Summarize(1);
-  EXPECT_EQ(last_second.count, 1000);
+  series.Add(7);
+  EXPECT_EQ(series.Merge(1000), 7);
 }
 
 TEST(TimeSeries, LatencyWindowExpires) {
-  LatencySeries series(5);
-  for (int i = 0; i < 100; ++i) series.Record(200.0);
+  auto& histogram = Registry::Global().GetHistogram("tshealth/expire/us");
+  Collector collector(CollectorOptions{5});
+  LatencySeries& series = collector.TrackHistogram("tshealth/expire/us");
+  for (int i = 0; i < 100; ++i) histogram.Record(200.0);
+  collector.Tick(1);
   EXPECT_EQ(series.Summarize(5).count, 100);
-  series.Advance(20);
+  EXPECT_DOUBLE_EQ(series.Merge(5).FractionBelow(1000.0), 1.0);
+  EXPECT_DOUBLE_EQ(series.Merge(5).FractionBelow(100.0), 0.0);
+  collector.Tick(20);
   EXPECT_EQ(series.Summarize(5).count, 0);
-  EXPECT_DOUBLE_EQ(series.FractionBelow(1000.0, 5), 1.0) << "empty = no violations";
+  EXPECT_DOUBLE_EQ(series.Merge(5).FractionBelow(1000.0), 1.0) << "empty = no violations";
 }
 
-TEST(TimeSeries, RecordPathDoesNotAllocate) {
-  LatencySeries latency(30);
-  RateSeries rate(30);
-  latency.Record(100.0);  // touch first buckets
-  rate.AddDelta(1);
+TEST(TimeSeries, RecordAndTickDoNotAllocate) {
+  // Past the 65 536 samples a raw-sample histogram used to keep: the record
+  // path stays allocation-free however long the process runs, and so does
+  // turning the registry histogram into per-second window deltas.
+  auto& histogram = Registry::Global().GetHistogram("tshealth/noalloc/us");
+  Collector collector(CollectorOptions{30});
+  collector.TrackHistogram("tshealth/noalloc/us");
+  collector.TrackCounter("tshealth/noalloc/events");
+  collector.Tick(1);
 
   const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 10000; ++i) {
-    latency.Record(static_cast<double>(50 + (i % 1000)));
-    rate.AddDelta(1);
+  for (int i = 0; i < 200000; ++i) {
+    histogram.Record(static_cast<double>(50 + (i % 100000)));
+    if (i % 20000 == 0) collector.Tick(2 + i / 20000);
   }
-  latency.Advance(1);  // ring rotation is also allocation-free
-  for (int i = 0; i < 1000; ++i) latency.Record(42.0);
   const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "record path must stay allocation-free";
+  EXPECT_EQ(after, before) << "record and tick paths must stay allocation-free";
+  EXPECT_EQ(histogram.count(), 200000);
 }
-
-// ---------------------------------------------------------------------------
-// Collector: registry-fed windows with an injected clock
-// ---------------------------------------------------------------------------
 
 TEST(TimeSeries, CollectorPullsCounterDeltasAndHistogramSamples) {
   auto& registry = Registry::Global();
@@ -204,18 +145,103 @@ TEST(TimeSeries, CollectorPullsCounterDeltasAndHistogramSamples) {
   histogram.Record(700.0);
   collector.Tick(3);
 
-  EXPECT_EQ(events.DeltaOver(1), 4) << "only the last second's delta";
-  EXPECT_EQ(events.DeltaOver(10), 14) << "baseline before priming excluded";
+  EXPECT_EQ(events.Merge(1), 4) << "only the last second's delta";
+  EXPECT_EQ(events.Merge(10), 14) << "baseline before priming excluded";
   const WindowStats stats = latency.Summarize(10);
   EXPECT_EQ(stats.count, 3);
-  EXPECT_DOUBLE_EQ(stats.min, 500.0);
-  EXPECT_DOUBLE_EQ(stats.max, 700.0);
+  EXPECT_DOUBLE_EQ(stats.mean, 600.0) << "window mean comes from exact sum deltas";
+  // A window's extremes are known to bucket precision.
+  EXPECT_NEAR(stats.min, 500.0, 500.0 * support::metrics::kMaxRelativeError);
+  EXPECT_NEAR(stats.max, 700.0, 700.0 * support::metrics::kMaxRelativeError);
+  EXPECT_EQ(latency.Summarize(1).count, 1);
 
   // ExportJson carries every tracked series with per-window stats.
   const std::string json = collector.ExportJson({10});
   EXPECT_NE(json.find("\"tshealth/events\""), std::string::npos);
   EXPECT_NE(json.find("\"tshealth/lat/us\""), std::string::npos);
   EXPECT_NE(json.find("\"10s\""), std::string::npos);
+}
+
+TEST(TimeSeries, TruthfulPastTheOldSampleCap) {
+  // Regression: a histogram that kept only its first 65 536 raw samples
+  // froze registry p99, the windows and SLO burn after ~3 s of serving.
+  auto& histogram = Registry::Global().GetHistogram("tshealth/uptime/us");
+  Collector collector(CollectorOptions{120});
+  support::slo::SloTracker tracker({}, &collector);
+  support::slo::Objective objective;
+  objective.name = "tshealth-uptime";
+  objective.target = 0.999;
+  objective.histogram = "tshealth/uptime/us";
+  objective.threshold_us = 1000.0;
+  tracker.AddObjective(objective);
+
+  collector.Tick(1);
+  for (int i = 0; i < 70000; ++i) histogram.Record(10.0);
+  collector.Tick(2);
+  for (int i = 0; i < 1000; ++i) histogram.Record(5000.0);
+  collector.Tick(3);
+
+  EXPECT_NEAR(histogram.Percentile(99.0), 5000.0, 5000.0 / 8.0)
+      << "registry p99 must see the late slow burst";
+  EXPECT_EQ(collector.FindHistogram("tshealth/uptime/us")->Summarize(1).count, 1000)
+      << "the last second's window holds the burst";
+  const auto statuses = tracker.Evaluate();
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_GT(statuses[0].burn_short, 0.0) << "the SLO must burn on the burst";
+}
+
+TEST(TimeSeries, ConcurrentRecordsAndTicksLoseNothing) {
+  auto& histogram = Registry::Global().GetHistogram("tshealth/concurrent/us");
+  Collector collector(CollectorOptions{120});
+  LatencySeries& series = collector.TrackHistogram("tshealth/concurrent/us");
+
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 50000;
+  std::atomic<int> running{kThreads};
+  std::thread ticker([&] {
+    // Injected clock: many ticks per second, a new second every 64 ticks,
+    // never past the ring.
+    for (std::int64_t tick = 0; running.load() > 0; ++tick) {
+      collector.Tick(std::min<std::int64_t>(1 + tick / 64, 100));
+    }
+  });
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&histogram, &running, t] {
+      for (int i = 0; i < kRecords; ++i) {
+        histogram.Record(static_cast<double>(1 + (i * (t + 1)) % 40000));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  for (auto& recorder : recorders) recorder.join();
+  ticker.join();
+  collector.Tick(collector.now_sec());  // pull whatever landed after the last tick
+
+  EXPECT_EQ(histogram.count(), static_cast<std::int64_t>(kThreads) * kRecords);
+  EXPECT_EQ(series.Summarize(120).count, histogram.count())
+      << "snapshot deltas must neither lose nor double-count a record";
+}
+
+TEST(TimeSeries, RegistryResetRePrimesHistogramBaseline) {
+  auto& histogram = Registry::Global().GetHistogram("tshealth/reset/us");
+  Collector collector(CollectorOptions{60});
+  LatencySeries& series = collector.TrackHistogram("tshealth/reset/us");
+  collector.Tick(1);
+  for (int i = 0; i < 500; ++i) histogram.Record(300.0);
+  collector.Tick(2);
+  ASSERT_EQ(series.Summarize(60).count, 500);
+
+  Registry::Global().Reset();
+  for (int i = 0; i < 20; ++i) histogram.Record(40.0);
+  collector.Tick(3);  // sees the rewind: re-primes, adds nothing
+  for (int i = 0; i < 7; ++i) histogram.Record(40.0);
+  collector.Tick(4);
+
+  EXPECT_EQ(series.Summarize(1).count, 7) << "deltas resume from the new baseline";
+  EXPECT_EQ(series.Summarize(60).count, 507) << "no negative counts from the rewind";
+  const support::metrics::HistogramSnapshot window = series.Merge(60);
+  for (const std::uint64_t bucket : window.buckets) EXPECT_LE(bucket, 507u);
 }
 
 // ---------------------------------------------------------------------------

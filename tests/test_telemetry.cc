@@ -157,10 +157,9 @@ TEST(Exporters, JsonSnapshotRoundTrips) {
 // TelemetrySampler
 // ---------------------------------------------------------------------------
 
-TEST(TelemetrySampler, PublishesPercentileGaugesAndCounterTracks) {
+TEST(TelemetrySampler, PublishesGaugesAsCounterTracks) {
   auto& registry = Registry::Global();
   auto& histogram = registry.GetHistogram("sampler_test/flow/us");
-  histogram.Reset();
   for (int i = 1; i <= 100; ++i) histogram.Record(static_cast<double>(i));
   registry.GetGauge("sampler_test/depth").Set(5.0);
 
@@ -171,11 +170,6 @@ TEST(TelemetrySampler, PublishesPercentileGaugesAndCounterTracks) {
   support::TelemetrySampler sampler;
   sampler.SampleOnce();
   EXPECT_EQ(sampler.samples(), 1u);
-
-  const support::metrics::Gauge* p95 =
-      registry.FindGauge("telemetry/sampler_test/flow/us/p95");
-  ASSERT_NE(p95, nullptr);
-  EXPECT_DOUBLE_EQ(p95->value(), 95.0);
 
   // Gauges re-published as Chrome-trace counter tracks.
   bool saw_counter = false;
@@ -188,10 +182,9 @@ TEST(TelemetrySampler, PublishesPercentileGaugesAndCounterTracks) {
   }
   EXPECT_TRUE(saw_counter);
 
-  // Sampling again must not feed back on telemetry/* gauges.
-  sampler.SampleOnce();
-  EXPECT_EQ(registry.FindGauge("telemetry/telemetry/sampler_test/flow/us/p95/p50"),
-            nullptr);
+  // Percentiles live in the histogram itself; the sampler publishes nothing
+  // into the registry.
+  EXPECT_EQ(registry.FindGauge("telemetry/sampler_test/flow/us/p95"), nullptr);
 }
 
 TEST(TelemetrySampler, BackgroundThreadSamplesOnCadence) {
