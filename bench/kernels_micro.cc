@@ -12,6 +12,7 @@
 #include "kernels/elementwise.h"
 #include "kernels/gemm.h"
 #include "kernels/quantize.h"
+#include "support/hash.h"
 #include "support/thread_pool.h"
 #include "tune/tuner.h"
 
@@ -227,6 +228,18 @@ void BM_BroadcastAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BroadcastAdd);
+
+/// Artifact section checksum throughput (support::Hash64 over `range(0)`
+/// bytes): 4 KiB stays in L1, 16 MiB is the size of a mapped zoo artifact.
+void BM_Hash64(benchmark::State& state) {
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<unsigned char>(i * 131);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::Hash64(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Hash64)->Arg(4 << 10)->Arg(16 << 20);
 
 }  // namespace
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/metrics.h"
 
@@ -161,7 +162,7 @@ ArtifactFile ArtifactFile::Open(const std::string& path, ArtifactKind expected_k
                              << " range [" << entry.offset << ", +" << entry.bytes
                              << ") escapes the file (" << total << " bytes)";
     }
-    const std::uint64_t checksum = Fnv1a(base + entry.offset, entry.bytes);
+    const std::uint64_t checksum = support::Hash64(base + entry.offset, entry.bytes);
     if (checksum != entry.checksum) {
       TNP_THROW(kParseError) << "artifact " << path << ": section " << entry.id
                              << " checksum mismatch (stored "
@@ -218,11 +219,11 @@ std::uint64_t ArtifactWriter::Commit(const std::string& meta, const std::string&
   sections[0].id = static_cast<std::uint32_t>(SectionId::kMeta);
   sections[0].offset = meta_offset;
   sections[0].bytes = meta.size();
-  sections[0].checksum = Fnv1a(meta.data(), meta.size());
+  sections[0].checksum = support::Hash64(meta.data(), meta.size());
   sections[1].id = static_cast<std::uint32_t>(SectionId::kBlob);
   sections[1].offset = blob_offset;
   sections[1].bytes = blob_.size();
-  sections[1].checksum = Fnv1a(blob_.data(), blob_.size());
+  sections[1].checksum = support::Hash64(blob_.data(), blob_.size());
 
   // Unique temp name in the same directory (same filesystem → rename(2) is
   // atomic). PID + address + a process-local counter keeps concurrent

@@ -4,7 +4,7 @@
 // atomic rename(2), so a reader (or a concurrent writer racing on the same
 // content-addressed name) only ever observes complete, checksummed files —
 // never a torn write. Reading maps the whole file PROT_READ and validates
-// header, section table and per-section FNV-1a checksums before any byte is
+// header, section table and per-section XXH64 checksums before any byte is
 // interpreted; tensor views handed out over the mapping are physically
 // read-only (a stray write faults instead of corrupting the cache).
 #pragma once

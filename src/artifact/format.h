@@ -12,7 +12,7 @@
 //   │ FileHeader (64 bytes)      │ magic, endianness stamp, format version,
 //   │                            │ artifact kind, section count, file size
 //   ├────────────────────────────┤ offset 64
-//   │ SectionEntry[section_count]│ 32 bytes each: id, offset, bytes, FNV-1a
+//   │ SectionEntry[section_count]│ 32 bytes each: id, offset, bytes, XXH64
 //   ├────────────────────────────┤ 64-byte aligned
 //   │ META section               │ bounds-checked binary metadata
 //   ├────────────────────────────┤ 64-byte aligned
@@ -47,7 +47,8 @@ inline constexpr std::uint32_t kEndianStamp = 0x01020304u;
 /// Bumped on every breaking change to the META encoding or section layout.
 /// v2: packed-matrix descriptors carry their GEMM config (mr/nr/kc/nc/unroll)
 /// and module/package metadata records the build-time tuning fingerprint.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: section checksums are XXH64 (support::Hash64), not FNV-1a.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Payload sections start on this alignment, as does every tensor payload
 /// inside the BLOB section — mmap bases are page-aligned, so file-offset
@@ -83,27 +84,10 @@ struct SectionEntry {
   std::uint32_t reserved = 0;
   std::uint64_t offset = 0;    ///< absolute file offset (kPayloadAlign-ed)
   std::uint64_t bytes = 0;
-  std::uint64_t checksum = 0;  ///< FNV-1a 64 over the section bytes
+  std::uint64_t checksum = 0;  ///< XXH64 (support::Hash64, seed 0) of the section bytes
 };
 static_assert(sizeof(SectionEntry) == 32, "section table entries are fixed-size");
 #pragma pack(pop)
-
-/// FNV-1a 64-bit — the same content hash used for store keys and section
-/// checksums (fast, dependency-free, stable across platforms).
-inline std::uint64_t Fnv1a(const void* data, std::size_t bytes,
-                           std::uint64_t seed = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-inline std::uint64_t Fnv1a(const std::string& text, std::uint64_t seed = 0xcbf29ce484222325ull) {
-  return Fnv1a(text.data(), text.size(), seed);
-}
 
 /// Lower-case 16-hex-digit rendering (store file names).
 std::string HashHex(std::uint64_t hash);

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "artifact/serialize.h"
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/metrics.h"
 #include "support/timeseries.h"
@@ -66,9 +67,9 @@ ArtifactStore::ArtifactStore(std::string directory) : directory_(std::move(direc
 std::string ArtifactStore::PathFor(const std::string& key, ArtifactKind kind) const {
   // Chain version and kind into the hash seed so one caller key can never
   // alias across format revisions or artifact kinds.
-  std::uint64_t hash = Fnv1a(&kFormatVersion, sizeof(kFormatVersion));
-  hash = Fnv1a(&kind, sizeof(kind), hash);
-  hash = Fnv1a(key.data(), key.size(), hash);
+  std::uint64_t hash = support::Hash64(&kFormatVersion, sizeof(kFormatVersion));
+  hash = support::Hash64(&kind, sizeof(kind), hash);
+  hash = support::Hash64(key.data(), key.size(), hash);
   return directory_ + "/" + HashHex(hash) + ".tnpa";
 }
 

@@ -1,6 +1,6 @@
 // Content-addressed on-disk store of compiled artifacts.
 //
-// A store is a flat directory of ".tnpa" files named by the 64-bit FNV-1a
+// A store is a flat directory of ".tnpa" files named by the 64-bit XXH64
 // hash of (on-disk format version | artifact kind | caller key). CompileFlow
 // passes the module fingerprint (relay/fingerprint.h) + flow + settings as
 // the key, so:
@@ -35,7 +35,7 @@ class ArtifactStore final : public core::CompiledArtifactCache {
 
   const std::string& directory() const { return directory_; }
 
-  /// <directory>/<16-hex FNV-1a of version|kind|key>.tnpa
+  /// <directory>/<16-hex XXH64 of version|kind|key, chained through seeds>.tnpa
   std::string PathFor(const std::string& key, ArtifactKind kind) const;
 
   relay::CompiledModulePtr TryLoadModule(const std::string& key) override;

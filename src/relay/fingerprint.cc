@@ -1,10 +1,10 @@
 #include "relay/fingerprint.h"
 
 #include <bit>
-#include <cstring>
 #include <unordered_map>
 
 #include "relay/visitor.h"
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace tnp {
@@ -16,14 +16,14 @@ namespace {
 
 /// Streaming 64-bit hash folded one word at a time (the xxHash64 round and
 /// final avalanche). Each round is a bijection of the running state, so two
-/// inputs that differ in a single word always hash differently. Byte runs
-/// are length-prefixed, which keeps field boundaries unambiguous.
+/// structures that differ in a single word always hash differently. Byte
+/// runs (tensor payloads, names) enter as two words, their length and their
+/// support::Hash64, which keeps field boundaries unambiguous and runs the
+/// bulk bytes at memory speed; two different runs of one length collide
+/// with probability about 2^-64.
 class Hasher {
  public:
-  void Word(std::uint64_t word) {
-    state_ += word * kPrime2;
-    state_ = std::rotl(state_, 31) * kPrime1;
-  }
+  void Word(std::uint64_t word) { state_ = support::hash_detail::Round(state_, word); }
 
   void U32(std::uint32_t value) { Word(value); }
   void I64(std::int64_t value) { Word(static_cast<std::uint64_t>(value)); }
@@ -31,37 +31,15 @@ class Hasher {
 
   void Bytes(const void* data, std::size_t size) {
     Word(size);
-    const auto* p = static_cast<const unsigned char*>(data);
-    std::size_t i = 0;
-    for (; i + sizeof(std::uint64_t) <= size; i += sizeof(std::uint64_t)) {
-      std::uint64_t word;
-      std::memcpy(&word, p + i, sizeof(word));
-      Word(word);
-    }
-    if (i < size) {
-      std::uint64_t tail = 0;
-      std::memcpy(&tail, p + i, size - i);
-      Word(tail);
-    }
+    Word(support::Hash64(data, size));
   }
 
   void String(const std::string& text) { Bytes(text.data(), text.size()); }
 
-  std::uint64_t Finish() const {
-    std::uint64_t h = state_;
-    h ^= h >> 33;
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    h ^= h >> 32;
-    return h;
-  }
+  std::uint64_t Finish() const { return support::hash_detail::Avalanche(state_); }
 
  private:
-  static constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
-  static constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
-  static constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ull;
-  std::uint64_t state_ = kPrime1;
+  std::uint64_t state_ = support::hash_detail::kPrime1;
 };
 
 // ------------------------------------------------------------------ attrs

@@ -5,10 +5,13 @@
 // (core/flows.cc), so any change to a model's weights or structure lands in
 // a different store entry, while two imports of the same model share one.
 //
-// The walk feeds a word-at-a-time streaming hash and buffers nothing: the
-// cost is one pass over the weights, with no allocation proportional to
-// their size. The result depends only on module content, never on node
-// addresses, so it is stable across processes of the same build.
+// The walk feeds structure (node tags, edges, attributes, shapes) one word
+// at a time into a streaming hash, and each constant's payload as its size
+// plus its support::Hash64 — one pass over the weights at memory speed,
+// with nothing buffered. Two modules that differ get the same fingerprint
+// with probability about 2^-64. The result depends only on module content,
+// never on node addresses, so it is stable across processes of the same
+// build.
 #pragma once
 
 #include <cstdint>

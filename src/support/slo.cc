@@ -21,7 +21,8 @@ const char* AlertStateName(AlertState state) {
 
 SloTracker::SloTracker(SloTrackerOptions options, timeseries::Collector* collector)
     : options_(options),
-      collector_(collector != nullptr ? collector : &timeseries::Collector::Global()) {}
+      collector_(collector != nullptr ? collector : &timeseries::Collector::Global()),
+      worst_burn_gauge_(&metrics::Registry::Global().GetGauge("health/slo/worst_burn")) {}
 
 void SloTracker::AddObjective(Objective objective) {
   TNP_CHECK(!objective.name.empty()) << "SLO objective needs a name";
@@ -39,9 +40,15 @@ void SloTracker::AddObjective(Objective objective) {
     collector_->TrackCounter(objective.bad_counter);
     collector_->TrackCounter(objective.total_counter);
   }
-  std::lock_guard<std::mutex> lock(mutex_);
+  auto& registry = metrics::Registry::Global();
+  const std::string prefix = "health/slo/" + objective.name;
   Tracked tracked;
+  tracked.burn_short = &registry.GetGauge(prefix + "/burn_short");
+  tracked.burn_long = &registry.GetGauge(prefix + "/burn_long");
+  tracked.alert_gauge = &registry.GetGauge(prefix + "/alert");
+  tracked.transitions = &registry.GetCounter(prefix + "/transitions");
   tracked.objective = std::move(objective);
+  std::lock_guard<std::mutex> lock(mutex_);
   objectives_.push_back(std::move(tracked));
 }
 
@@ -68,7 +75,6 @@ double SloTracker::ErrorFraction(const Tracked& tracked, int window_s) const {
 }
 
 std::vector<ObjectiveStatus> SloTracker::Evaluate() {
-  auto& registry = metrics::Registry::Global();
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ObjectiveStatus> statuses;
   statuses.reserve(objectives_.size());
@@ -106,15 +112,12 @@ std::vector<ObjectiveStatus> SloTracker::Evaluate() {
                     << KV("to", AlertStateName(status.alert))
                     << KV("burn_short", status.burn_short)
                     << KV("burn_long", status.burn_long);
-      registry.GetCounter("health/slo/" + objective.name + "/transitions").Increment();
+      tracked.transitions->Increment();
       tracked.alert = status.alert;
     }
-    registry.GetGauge("health/slo/" + objective.name + "/burn_short")
-        .Set(status.burn_short);
-    registry.GetGauge("health/slo/" + objective.name + "/burn_long")
-        .Set(status.burn_long);
-    registry.GetGauge("health/slo/" + objective.name + "/alert")
-        .Set(static_cast<double>(status.alert));
+    tracked.burn_short->Set(status.burn_short);
+    tracked.burn_long->Set(status.burn_long);
+    tracked.alert_gauge->Set(static_cast<double>(status.alert));
 
     worst_burn = std::max(worst_burn, confirmed);
     worst_alert = std::max(worst_alert, status.alert);
@@ -123,7 +126,7 @@ std::vector<ObjectiveStatus> SloTracker::Evaluate() {
 
   worst_burn_ = worst_burn;
   worst_alert_ = worst_alert;
-  registry.GetGauge("health/slo/worst_burn").Set(worst_burn);
+  worst_burn_gauge_->Set(worst_burn);
   return statuses;
 }
 

@@ -98,15 +98,23 @@ class SloTracker {
   AlertState worst_alert() const;
 
  private:
+  /// One objective plus its health/slo/<name>/* metrics, resolved once in
+  /// AddObjective so Evaluate() builds no metric names (registry entries
+  /// live as long as the process).
   struct Tracked {
     Objective objective;
     AlertState alert = AlertState::kOk;
+    metrics::Gauge* burn_short = nullptr;
+    metrics::Gauge* burn_long = nullptr;
+    metrics::Gauge* alert_gauge = nullptr;
+    metrics::Counter* transitions = nullptr;
   };
 
   double ErrorFraction(const Tracked& tracked, int window_s) const;
 
   SloTrackerOptions options_;
   timeseries::Collector* collector_;
+  metrics::Gauge* worst_burn_gauge_;
   mutable std::mutex mutex_;
   std::vector<Tracked> objectives_;
   double worst_burn_ = 0.0;

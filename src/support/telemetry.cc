@@ -53,7 +53,9 @@ void TelemetrySampler::AddSampleCallback(std::function<void()> callback) {
 void TelemetrySampler::SampleOnce() {
   if (options_.advance_timeseries) timeseries::Collector::Global().Tick();
   if (options_.sample_profiler) profiler::Profiler::Global().SampleOnce();
-  if (options_.publish_trace_counters) {
+  // Entries() copies and sorts every metric name: only pay for it when the
+  // counter tracks have somewhere to go.
+  if (options_.publish_trace_counters && Tracer::Global().enabled()) {
     for (const metrics::MetricRef& ref : metrics::Registry::Global().Entries()) {
       if (ref.gauge != nullptr) {
         TNP_TRACE_COUNTER("telemetry", ref.name, ref.gauge->value());

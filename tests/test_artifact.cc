@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -102,13 +103,32 @@ void WriteAll(const std::string& path, const std::string& bytes) {
 }
 
 template <typename Fn>
-void ExpectError(ErrorKind kind, Fn&& fn) {
+void ExpectError(ErrorKind kind, Fn&& fn, const std::string& message = "") {
   try {
     fn();
     ADD_FAILURE() << "expected " << ErrorKindName(kind) << ", nothing thrown";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), kind) << e.what();
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << "expected \"" << message << "\" in: " << e.what();
   }
+}
+
+/// The error ArtifactFile::Open raises when `section` fails its checksum.
+std::string ChecksumMismatch(SectionId section) {
+  return "section " + std::to_string(static_cast<std::uint32_t>(section)) +
+         " checksum mismatch";
+}
+
+SectionEntry ReadSection(const std::string& file, SectionId id) {
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    SectionEntry entry;
+    std::memcpy(&entry, file.data() + sizeof(FileHeader) + i * sizeof(SectionEntry),
+                sizeof(entry));
+    if (entry.id == static_cast<std::uint32_t>(id)) return entry;
+  }
+  ADD_FAILURE() << "section " << static_cast<std::uint32_t>(id) << " not in the table";
+  return {};
 }
 
 std::int64_t CounterValue(const char* name) {
@@ -285,11 +305,22 @@ class ArtifactHostile : public ::testing::Test {
     ASSERT_GT(bytes_.size(), sizeof(FileHeader) + 2 * sizeof(SectionEntry));
   }
 
-  /// Write `mutated` next to the original and expect a typed load failure.
-  void ExpectRejected(const std::string& mutated, ErrorKind kind = ErrorKind::kParseError) {
+  /// Write `mutated` next to the original and expect a typed load failure
+  /// whose message contains `message`.
+  void ExpectRejected(const std::string& mutated, ErrorKind kind = ErrorKind::kParseError,
+                      const std::string& message = "") {
     const std::string path = dir_->path + "/mutated.tnpa";
     WriteAll(path, mutated);
-    ExpectError(kind, [&] { MapCompiledModule(path); });
+    ExpectError(kind, [&] { MapCompiledModule(path); }, message);
+  }
+
+  /// Flip one byte at `file_offset` and expect `section`'s checksum to fail.
+  void ExpectFlipRejected(std::uint64_t file_offset, SectionId section) {
+    SCOPED_TRACE("flipped file byte " + std::to_string(file_offset));
+    ASSERT_LT(file_offset, bytes_.size());
+    std::string mutated = bytes_;
+    mutated[file_offset] ^= 0x01;
+    ExpectRejected(mutated, ErrorKind::kParseError, ChecksumMismatch(section));
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -312,10 +343,61 @@ TEST_F(ArtifactHostile, FlippedPayloadByte) {
   ExpectRejected(mutated);
 }
 
+TEST_F(ArtifactHostile, EveryChecksumRegionFailsClosed) {
+  // One flip in each code path of the section hash: the first byte of each
+  // section, a byte inside a 32-byte stripe, and a byte of the final tail
+  // after the last whole 8-byte word (or the last word, if there is no tail).
+  const SectionEntry meta = ReadSection(bytes_, SectionId::kMeta);
+  const SectionEntry blob = ReadSection(bytes_, SectionId::kBlob);
+  ASSERT_GT(blob.bytes, 96u);
+  ExpectFlipRejected(meta.offset, SectionId::kMeta);
+  ExpectFlipRejected(blob.offset, SectionId::kBlob);
+  ExpectFlipRejected(blob.offset + 32 + 13, SectionId::kBlob);
+  ExpectFlipRejected(blob.offset + blob.bytes - 1, SectionId::kBlob);
+  ExpectFlipRejected(meta.offset + meta.bytes - 1, SectionId::kMeta);
+}
+
+TEST_F(ArtifactHostile, EveryFlippedByteOfSmallSectionsFailsClosed) {
+  // Sizes that reach every branch of the hash: META (45 B) is one stripe,
+  // one word, one 4-byte word and one tail byte; BLOB (79 B) is two stripes,
+  // a word, a 4-byte word and three tail bytes.
+  const std::string path = dir_->path + "/small.tnpa";
+  std::string meta(45, '\0');
+  std::string payload(79, '\0');
+  for (std::size_t i = 0; i < meta.size(); ++i) meta[i] = static_cast<char>(i * 7 + 1);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<char>(i * 13 + 5);
+  ArtifactWriter writer(ArtifactKind::kCompiledModule);
+  writer.AddPayload(nullptr, payload.data(), payload.size());
+  writer.Commit(meta, path);
+  const std::string bytes = ReadAll(path);
+  EXPECT_NO_THROW(ArtifactFile::Open(path, ArtifactKind::kCompiledModule));
+
+  const std::string mutated_path = dir_->path + "/mutated.tnpa";
+  for (const SectionId id : {SectionId::kMeta, SectionId::kBlob}) {
+    const SectionEntry section = ReadSection(bytes, id);
+    ASSERT_EQ(section.bytes, id == SectionId::kMeta ? meta.size() : payload.size());
+    for (std::uint64_t i = 0; i < section.bytes; ++i) {
+      SCOPED_TRACE("section " + std::to_string(section.id) + " byte " + std::to_string(i));
+      std::string mutated = bytes;
+      mutated[section.offset + i] ^= 0x10;
+      WriteAll(mutated_path, mutated);
+      ExpectError(ErrorKind::kParseError,
+                  [&] { ArtifactFile::Open(mutated_path, ArtifactKind::kCompiledModule); },
+                  ChecksumMismatch(id));
+    }
+  }
+}
+
 TEST_F(ArtifactHostile, WrongFormatVersion) {
   std::string mutated = bytes_;
   mutated[offsetof(FileHeader, version)] += 1;
-  ExpectRejected(mutated);
+  ExpectRejected(mutated, ErrorKind::kParseError, "format version");
+  // A file written by the previous (FNV-1a checksum) format is rejected by
+  // its version before any checksum is computed.
+  mutated = bytes_;
+  const std::uint32_t v2 = 2;
+  std::memcpy(&mutated[offsetof(FileHeader, version)], &v2, sizeof(v2));
+  ExpectRejected(mutated, ErrorKind::kParseError, "format version 2");
 }
 
 TEST_F(ArtifactHostile, WrongEndiannessStamp) {

@@ -22,7 +22,9 @@
 #include "support/flight_recorder.h"
 #include "support/metrics.h"
 #include "support/slo.h"
+#include "support/telemetry.h"
 #include "support/timeseries.h"
+#include "support/trace.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: proves the time-series record path performs no
@@ -330,6 +332,58 @@ TEST(Slo, LatencyObjectiveBurnsWhenThresholdExceeded) {
   ASSERT_EQ(statuses.size(), 1u);
   EXPECT_NEAR(statuses[0].burn_short, 1.0, 0.3) << "10% violations / 10% budget";
   EXPECT_NEAR(statuses[0].burn_long, 1.0, 0.3);
+}
+
+TEST(Slo, EvaluateBuildsNoMetricNames) {
+  // The health/slo/<name>/* metrics are resolved once, in AddObjective, so
+  // an evaluation allocates only the returned vector. The names fit the
+  // small-string buffer, so copying them into the statuses allocates nothing.
+  auto& registry = Registry::Global();
+  registry.GetCounter("slotest/na/bad");
+  registry.GetCounter("slotest/na/total");
+  registry.GetHistogram("slotest/na/us");
+  Collector collector(CollectorOptions{120});
+  support::slo::SloTracker tracker({}, &collector);
+  support::slo::Objective availability;
+  availability.name = "na-avail";
+  availability.bad_counter = "slotest/na/bad";
+  availability.total_counter = "slotest/na/total";
+  tracker.AddObjective(availability);
+  support::slo::Objective latency;
+  latency.name = "na-latency";
+  latency.histogram = "slotest/na/us";
+  latency.threshold_us = 1000.0;
+  tracker.AddObjective(latency);
+  collector.Tick(1);
+  tracker.Evaluate();
+
+  constexpr int kEvaluations = 100;
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kEvaluations; ++i) tracker.Evaluate();
+  const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, kEvaluations) << "one allocation (the result) per Evaluate()";
+  EXPECT_NE(registry.FindGauge("health/slo/na-avail/burn_short"), nullptr);
+  EXPECT_NE(registry.FindGauge("health/slo/na-latency/alert"), nullptr);
+}
+
+TEST(TelemetrySampler, SampleWithTracerOffDoesNotAllocate) {
+  // With the tracer off the gauges have no counter track to go to, so a
+  // pass must not copy the registry's names; ticking the collector and
+  // sampling the profiler are allocation-free too.
+  ASSERT_FALSE(support::Tracer::Global().enabled());
+  auto& registry = Registry::Global();
+  for (int i = 0; i < 120; ++i) {
+    registry.GetGauge("telemetrytest/gauge_" + std::to_string(i)).Set(i);
+  }
+  support::TelemetrySampler sampler;  // default options, never started
+  sampler.SampleOnce();
+  sampler.SampleOnce();
+
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; ++i) sampler.SampleOnce();
+  const std::int64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "a tracer-off sampling pass must stay allocation-free";
+  EXPECT_EQ(sampler.samples(), 102u);
 }
 
 // ---------------------------------------------------------------------------

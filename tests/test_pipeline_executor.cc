@@ -3,8 +3,11 @@
 // the observability surface (queue-depth gauges, per-stage spans).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -15,8 +18,6 @@
 namespace tnp {
 namespace core {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 TEST(PipelineExecutor, PreservesOrder) {
   using P = Pipeline<int>;
@@ -78,23 +79,45 @@ TEST(PipelineExecutor, ResourceExclusivityEnforced) {
 }
 
 TEST(PipelineExecutor, DisjointResourcesOverlapInWallClock) {
-  // Two 2ms stages on different resources over 16 packets: sequential would
-  // take >= 64ms; the pipeline should land well under that.
-  const auto sleepy = [](int v) -> std::optional<int> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return v;
-  };
+  // Proof of overlap without a wall-clock bound: the "apu" stage, while it
+  // runs packet i, waits until the "cpu" stage has started packet i + 1.
+  // That can only happen if the two stages run at the same time; if they
+  // could not, every wait would run into its timeout and fail the test.
+  constexpr int kPackets = 16;
+  constexpr auto kTimeout = std::chrono::seconds(10);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int cpu_started = 0;  // packets the cpu stage has begun
+  int overlaps = 0;     // apu runs that saw the next packet start on the cpu
+  bool timed_out = false;
+
   using P = Pipeline<int>;
   std::vector<P::Stage> stages;
-  stages.push_back(P::Stage{"cpu", {sim::Resource::kCpu}, sleepy});
-  stages.push_back(P::Stage{"apu", {sim::Resource::kApu}, sleepy});
+  stages.push_back(P::Stage{"cpu", {sim::Resource::kCpu}, [&](int v) -> std::optional<int> {
+                              std::lock_guard<std::mutex> lock(mutex);
+                              cpu_started = std::max(cpu_started, v + 1);
+                              cv.notify_all();
+                              return v;
+                            }});
+  stages.push_back(P::Stage{"apu", {sim::Resource::kApu}, [&](int v) -> std::optional<int> {
+                              if (v + 1 == kPackets) return v;  // no next packet
+                              std::unique_lock<std::mutex> lock(mutex);
+                              if (timed_out) return v;  // already failed: do not wait again
+                              if (cv.wait_for(lock, kTimeout,
+                                              [&] { return cpu_started >= v + 2; })) {
+                                ++overlaps;
+                              } else {
+                                timed_out = true;
+                              }
+                              return v;
+                            }});
   P pipeline(std::move(stages));
-  std::vector<int> inputs(16, 0);
-  const auto start = Clock::now();
-  pipeline.Run(std::move(inputs));
-  const double ms = std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  EXPECT_LT(ms, 56.0) << "no overlap observed";
-  EXPECT_GT(ms, 30.0);  // sanity: the work itself takes >= 17*2ms critical path
+  std::vector<int> inputs;
+  for (int i = 0; i < kPackets; ++i) inputs.push_back(i);
+  const std::vector<int> outputs = pipeline.Run(std::move(inputs));
+  ASSERT_EQ(outputs.size(), static_cast<std::size_t>(kPackets));
+  EXPECT_FALSE(timed_out) << "cpu never started the next packet while apu ran: no overlap";
+  EXPECT_EQ(overlaps, kPackets - 1);
 }
 
 TEST(PipelineExecutor, MultiResourceStageBlocksBoth) {

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "support/hash.h"
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/string_util.h"
@@ -181,6 +183,50 @@ TEST(Rng, NormalMoments) {
 TEST(Rng, StableHashIsStable) {
   EXPECT_EQ(support::StableHash("mobilenet"), support::StableHash(std::string("mobilenet")));
   EXPECT_NE(support::StableHash("a"), support::StableHash("b"));
+}
+
+TEST(Hash64, KnownAnswersSeedZero) {
+  // Reference XXH64 values.
+  const auto hash = [](const std::string& text) {
+    return support::Hash64(text.data(), text.size(), 0);
+  };
+  EXPECT_EQ(hash(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(support::Hash64(nullptr, 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(hash("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(hash("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(hash("Nobody inspects the spammish repetition"), 0xfbcea83c8a378bf1ull);
+  EXPECT_NE(support::Hash64("abc", 3, 1), hash("abc"));  // the seed matters
+}
+
+TEST(Hash64, EverySingleByteFlipChangesTheHash) {
+  // Lengths 0..96 reach every branch: short inputs, 1..3 stripes, and every
+  // combination of 8-byte, 4-byte and 1-byte tails.
+  std::vector<unsigned char> bytes(96);
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  std::set<std::uint64_t> by_length;
+  for (std::size_t length = 0; length <= bytes.size(); ++length) {
+    const std::uint64_t base = support::Hash64(bytes.data(), length);
+    by_length.insert(base);
+    for (std::size_t at = 0; at < length; ++at) {
+      for (const unsigned char flip : {0x01, 0x80}) {
+        bytes[at] ^= flip;
+        EXPECT_NE(support::Hash64(bytes.data(), length), base)
+            << "length " << length << ", byte " << at << ", flip " << int(flip);
+        bytes[at] ^= flip;
+      }
+    }
+  }
+  EXPECT_EQ(by_length.size(), bytes.size() + 1);  // all 97 prefixes hash differently
+}
+
+TEST(Hash64, MisalignedInputHashesTheSame) {
+  std::vector<unsigned char> storage(256 + 8);
+  for (std::size_t i = 0; i < storage.size(); ++i) storage[i] = static_cast<unsigned char>(i * 5 + 3);
+  const std::vector<unsigned char> aligned(storage.begin() + 1, storage.begin() + 1 + 256);
+  for (const std::size_t length : {std::size_t{7}, std::size_t{31}, std::size_t{77}, std::size_t{256}}) {
+    EXPECT_EQ(support::Hash64(storage.data() + 1, length), support::Hash64(aligned.data(), length))
+        << "length " << length;
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRange) {
