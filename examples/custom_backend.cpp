@@ -20,6 +20,16 @@ using relay::Attrs;
 
 namespace {
 
+/// Per-executor state: the region's result, at a fixed address.
+class MyDspSession final : public relay::ExternalSession {
+ public:
+  std::span<const NDArray* const> outputs() const override { return {&result_ptr_, 1}; }
+  NDArray result;
+
+ private:
+  const NDArray* result_ptr_ = &result;
+};
+
 /// Trivial external module: evaluates the region with the reference
 /// interpreter and charges a fixed "DSP" cost.
 class MyDspModule final : public relay::ExternalModule {
@@ -29,19 +39,22 @@ class MyDspModule final : public relay::ExternalModule {
     num_ops_ = relay::CountCalls(fn_->body());
   }
 
-  relay::Value Run(const std::vector<relay::Value>& inputs, sim::SimClock* clock,
-                   bool execute_numerics, relay::ExternalSession* session = nullptr) override {
-    (void)session;  // stateless module: allocates its outputs every run
-    if (clock != nullptr) {
-      sim::OpDesc desc;
-      desc.name = "mydsp-subgraph";
-      desc.fused_ops = num_ops_;
-      clock->AddOp(desc, sim::DeviceKind::kNeuronApu, 42.0 /*us, flat*/);
-    }
-    if (!execute_numerics) return relay::Value();
+  relay::ExternalSessionPtr CreateSession() const override {
+    return std::make_shared<MyDspSession>();
+  }
+
+  void Run(relay::ExternalSession& session,
+           std::span<const NDArray* const> inputs) const override {
     relay::Environment env;
-    for (std::size_t i = 0; i < inputs.size(); ++i) env[fn_->params()[i].get()] = inputs[i];
-    return relay::EvalExpr(fn_->body(), env);
+    for (std::size_t i = 0; i < inputs.size(); ++i) env[fn_->params()[i].get()] = *inputs[i];
+    static_cast<MyDspSession&>(session).result = relay::EvalExpr(fn_->body(), env).AsTensor();
+  }
+
+  void EstimateLatency(sim::SimClock& clock) const override {
+    sim::OpDesc desc;
+    desc.name = "mydsp-subgraph";
+    desc.fused_ops = num_ops_;
+    clock.AddOp(desc, sim::DeviceKind::kNeuronApu, 42.0 /*us, flat*/);
   }
 
   const std::string& name() const override { return name_; }
@@ -101,6 +114,6 @@ int main() {
   const bool identical = NDArray::BitEqual(executor.GetOutput(0), reference.GetOutput(0));
   std::cout << "DSP-partitioned output " << (identical ? "matches" : "DIFFERS from")
             << " the host-only output\n";
-  std::cout << "simulated time with DSP: " << executor.last_clock().Summary() << "\n";
+  std::cout << "simulated time with DSP: " << executor.compiled().EstimateLatency().Summary() << "\n";
   return identical ? 0 : 1;
 }

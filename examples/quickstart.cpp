@@ -52,7 +52,7 @@ layer Dense units=10 activation=softmax seed=13
   executor.Run();
   const NDArray probabilities = executor.GetOutput(0);
   std::cout << "output: " << probabilities.ToString(10) << "\n";
-  std::cout << "simulated latency: " << executor.last_clock().Summary() << "\n\n";
+  std::cout << "simulated latency: " << executor.compiled().EstimateLatency().Summary() << "\n\n";
 
   std::cout << "--- verifying against the TVM-only flow ---\n";
   const auto tvm_only = core::CompileFlow(module, core::FlowKind::kTvmOnly);
@@ -61,6 +61,6 @@ layer Dense units=10 activation=softmax seed=13
   const bool identical = NDArray::BitEqual(tvm_only->GetOutput(0), probabilities);
   std::cout << "BYOC output " << (identical ? "bit-identical to" : "DIFFERS from")
             << " TVM-only output\n";
-  std::cout << "TVM-only simulated latency: " << tvm_only->last_clock().Summary() << "\n";
+  std::cout << "TVM-only simulated latency: " << tvm_only->EstimateLatency().Summary() << "\n";
   return identical ? 0 : 1;
 }

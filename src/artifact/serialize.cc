@@ -448,6 +448,7 @@ std::shared_ptr<neuron::NeuronPackage> ReadPackageMeta(MetaReader& reader,
     }
     package->op_packed_weights.push_back(index < 0 ? nullptr : table[index]);
   }
+  neuron::BindOperations(*package);
   return package;
 }
 
@@ -828,6 +829,7 @@ relay::CompiledModulePtr MapCompiledModule(const std::string& path) {
     TNP_THROW(kParseError) << "artifact " << path << ": " << reader.remaining()
                            << " trailing META bytes";
   }
+  relay::BindInstructions(*module);
   RecordLoad(start);
   return module;
 }

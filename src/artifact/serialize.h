@@ -17,9 +17,10 @@
 //
 // MapCompiledModule / MapNeuronPackage are the "MapArtifact" loaders: the
 // returned module is immediately executable (GraphExecutor /
-// NeuronExecutionSession) and produces byte-identical outputs to a fresh
-// compile — enforced by tests/test_artifact.cc, which extends the
-// planned-vs-legacy differential machinery over loaded modules.
+// NeuronExecutionSession): the loaders bind every instruction / operation
+// to its kernel call, and a loaded module produces byte-identical outputs
+// to a fresh compile and to the interpreter oracle — enforced by
+// tests/test_artifact.cc.
 //
 // All load failures are typed tnp::Error (kParseError for malformed bytes,
 // kRuntimeError for I/O): fail closed, never crash, never silently fall

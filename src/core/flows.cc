@@ -48,9 +48,9 @@ std::vector<sim::Resource> FlowResources(FlowKind flow) {
 
 namespace {
 
-/// Per-run observability shared by both session kinds: a "flow" span whose
-/// sim_us argument carries the simulated latency, plus a per-flow histogram
-/// resolved once per FlowKind (the registry name lookup allocates).
+/// Per-run observability shared by both session kinds: the simulated
+/// latency lands in a per-flow histogram resolved once per FlowKind (the
+/// registry name lookup allocates).
 void RecordFlowRun(FlowKind flow, double sim_us) {
   static std::array<std::atomic<support::metrics::Histogram*>, std::size(kAllFlows)> table{};
   std::atomic<support::metrics::Histogram*>& slot = table[static_cast<std::size_t>(flow)];
@@ -81,7 +81,10 @@ neuron::TargetConfig TargetOf(FlowKind flow) {
 class TvmSession final : public InferenceSession {
  public:
   TvmSession(FlowKind flow, relay::CompiledModulePtr compiled)
-      : flow_(flow), compiled_(std::move(compiled)), executor_(compiled_) {}
+      : flow_(flow),
+        compiled_(std::move(compiled)),
+        executor_(compiled_),
+        estimate_(compiled_->EstimateLatency()) {}
 
   void SetInput(const std::string& name, NDArray value) override {
     executor_.SetInput(name, std::move(value));
@@ -90,15 +93,12 @@ class TvmSession final : public InferenceSession {
     support::TraceScope scope;
     if (scope.armed()) scope.Begin("flow", std::string("Run:") + FlowName(flow_));
     executor_.Run();
-    RecordFlowRun(flow_, executor_.last_clock().total_us());
-    if (scope.armed()) {
-      scope.AddArg(support::TraceArg("sim_us", executor_.last_clock().total_us()));
-    }
+    RecordFlowRun(flow_, estimate_.total_us());
+    if (scope.armed()) scope.AddArg(support::TraceArg("sim_us", estimate_.total_us()));
   }
   int NumOutputs() const override { return executor_.NumOutputs(); }
   NDArray GetOutput(int index) const override { return executor_.GetOutput(index); }
-  const sim::SimClock& last_clock() const override { return executor_.last_clock(); }
-  sim::SimClock EstimateLatency() const override { return compiled_->EstimateLatency(); }
+  const sim::SimClock& EstimateLatency() const override { return estimate_; }
   int NumPartitions() const override { return static_cast<int>(compiled_->externals.size()); }
   int NumExternalOps() const override { return compiled_->NumExternalOps(); }
 
@@ -127,6 +127,7 @@ class TvmSession final : public InferenceSession {
   FlowKind flow_;
   relay::CompiledModulePtr compiled_;
   relay::GraphExecutor executor_;
+  sim::SimClock estimate_;
 };
 
 /// NeuroPilot-only session: the whole model is one NeuronPackage; no TVM
@@ -141,6 +142,7 @@ class NpSession final : public InferenceSession {
         input_names_(std::move(input_names)),
         num_outputs_(num_outputs) {
     inputs_.resize(input_names_.size());
+    for (const NDArray& input : inputs_) input_ptrs_.push_back(&input);
   }
 
   void SetInput(const std::string& name, NDArray value) override {
@@ -156,42 +158,28 @@ class NpSession final : public InferenceSession {
   void Run() override {
     support::TraceScope scope;
     if (scope.armed()) scope.Begin("flow", std::string("Run:") + FlowName(flow_));
-    clock_.Reset();
-    outputs_ = neuron::NeuronRuntime::Execute(*package_, inputs_, &clock_, true,
-                                              &neuron_session_);
-    RecordFlowRun(flow_, clock_.total_us());
-    if (scope.armed()) scope.AddArg(support::TraceArg("sim_us", clock_.total_us()));
+    neuron_session_.Run(input_ptrs_);
+    const double sim_us = neuron_session_.estimate().total_us();
+    RecordFlowRun(flow_, sim_us);
+    if (scope.armed()) scope.AddArg(support::TraceArg("sim_us", sim_us));
   }
 
   int NumOutputs() const override { return num_outputs_; }
 
   NDArray GetOutput(int index) const override {
-    TNP_CHECK(index >= 0 && index < static_cast<int>(outputs_.size()))
-        << "output index out of range (did you call Run()?)";
-    return outputs_[static_cast<std::size_t>(index)];
+    TNP_CHECK(index >= 0 && index < num_outputs_) << "output index out of range";
+    const NDArray& output = *neuron_session_.outputs()[static_cast<std::size_t>(index)];
+    TNP_CHECK(output.defined()) << "output " << index << " not produced (did you call Run()?)";
+    return output;
   }
 
-  const sim::SimClock& last_clock() const override { return clock_; }
-
-  sim::SimClock EstimateLatency() const override {
-    sim::SimClock clock;
-    neuron::NeuronRuntime::Execute(*package_, {}, &clock, false);
-    return clock;
-  }
+  const sim::SimClock& EstimateLatency() const override { return neuron_session_.estimate(); }
 
   int NumPartitions() const override { return 1; }
   int NumExternalOps() const override { return package_->NumOps(); }
 
   std::vector<sim::Resource> UsedResources() const override {
-    bool cpu = false;
-    bool apu = false;
-    for (const sim::DeviceKind device : package_->plan.placement) {
-      if (sim::ResourceOf(device) == sim::Resource::kCpu) cpu = true;
-      if (sim::ResourceOf(device) == sim::Resource::kApu) apu = true;
-    }
-    std::vector<sim::Resource> result;
-    if (cpu) result.push_back(sim::Resource::kCpu);
-    if (apu) result.push_back(sim::Resource::kApu);
+    std::vector<sim::Resource> result = PackageResources(*package_);
     if (result.empty()) result.push_back(sim::Resource::kCpu);
     return result;
   }
@@ -199,13 +187,12 @@ class NpSession final : public InferenceSession {
  private:
   FlowKind flow_;
   neuron::NeuronPackagePtr package_;
-  /// Pre-planned operand arena, reused across Run() calls (zero tensor
-  /// allocations per frame once the session exists).
+  /// Pre-planned operand arena and bound operations, reused across Run()
+  /// calls (no heap allocation per frame once the session exists).
   neuron::NeuronExecutionSession neuron_session_;
   std::vector<std::string> input_names_;
   std::vector<NDArray> inputs_;
-  std::vector<NDArray> outputs_;
-  sim::SimClock clock_;
+  std::vector<const NDArray*> input_ptrs_;
   int num_outputs_ = 1;
 };
 

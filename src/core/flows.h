@@ -49,12 +49,10 @@ class InferenceSession {
   virtual int NumOutputs() const = 0;
   virtual NDArray GetOutput(int index = 0) const = 0;
 
-  /// Simulated time of the last Run().
-  virtual const sim::SimClock& last_clock() const = 0;
-
-  /// Static latency estimate: walks the compiled program without executing
-  /// kernels (usable at full model scale).
-  virtual sim::SimClock EstimateLatency() const = 0;
+  /// Simulated latency of one Run(): a static property of the compiled
+  /// program, computed once when the session is created (usable at full
+  /// model scale without running a kernel).
+  virtual const sim::SimClock& EstimateLatency() const = 0;
 
   /// Number of NIR subgraphs (0 for TVM-only; 1 for NeuroPilot-only).
   virtual int NumPartitions() const = 0;

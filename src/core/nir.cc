@@ -10,30 +10,10 @@
 namespace tnp {
 namespace core {
 
-relay::Value NirExternalModule::Run(const std::vector<relay::Value>& inputs,
-                                    sim::SimClock* clock, bool execute_numerics,
-                                    relay::ExternalSession* session) {
-  std::vector<NDArray> tensor_inputs;
-  if (execute_numerics) {
-    tensor_inputs.reserve(inputs.size());
-    for (const auto& input : inputs) tensor_inputs.push_back(input.AsTensor());
-  }
-  auto* nir_session = static_cast<NirSession*>(session);
-  const std::vector<NDArray> outputs = neuron::NeuronRuntime::Execute(
-      *package_, tensor_inputs, clock, execute_numerics,
-      nir_session != nullptr ? &nir_session->neuron_session() : nullptr);
-  if (!execute_numerics) return relay::Value();
-  if (outputs.size() == 1) return relay::Value(outputs.front());
-  std::vector<relay::Value> fields;
-  fields.reserve(outputs.size());
-  for (const auto& output : outputs) fields.emplace_back(output);
-  return relay::Value(std::move(fields));
-}
-
-std::vector<sim::Resource> NirExternalModule::resources() const {
+std::vector<sim::Resource> PackageResources(const neuron::NeuronPackage& package) {
   bool cpu = false;
   bool apu = false;
-  for (const sim::DeviceKind device : package_->plan.placement) {
+  for (const sim::DeviceKind device : package.plan.placement) {
     if (sim::ResourceOf(device) == sim::Resource::kCpu) cpu = true;
     if (sim::ResourceOf(device) == sim::Resource::kApu) apu = true;
   }

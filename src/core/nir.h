@@ -41,6 +41,9 @@ relay::BuildOptions MakeBuildOptions(const NirOptions& options);
 /// PartitionForNir and MakeBuildOptions).
 void EnsureNirCodegenRegistered();
 
+/// The resources `package`'s placement occupies (CPU first, then APU).
+std::vector<sim::Resource> PackageResources(const neuron::NeuronPackage& package);
+
 /// Bridges the Neuron runtime's per-caller execution state into the relay
 /// executor's session seam (neuron/ does not link against relay/, so the
 /// wrapping happens here).
@@ -50,6 +53,9 @@ class NirSession final : public relay::ExternalSession {
       : neuron_session_(std::move(package)) {}
 
   neuron::NeuronExecutionSession& neuron_session() { return neuron_session_; }
+  std::span<const NDArray* const> outputs() const override {
+    return neuron_session_.outputs();
+  }
 
  private:
   neuron::NeuronExecutionSession neuron_session_;
@@ -62,16 +68,20 @@ class NirExternalModule final : public relay::ExternalModule {
   NirExternalModule(std::string name, neuron::NeuronPackagePtr package)
       : name_(std::move(name)), package_(std::move(package)) {}
 
-  relay::Value Run(const std::vector<relay::Value>& inputs, sim::SimClock* clock,
-                   bool execute_numerics, relay::ExternalSession* session = nullptr) override;
-
   relay::ExternalSessionPtr CreateSession() const override {
     return std::make_shared<NirSession>(package_);
+  }
+  void Run(relay::ExternalSession& session,
+           std::span<const NDArray* const> inputs) const override {
+    static_cast<NirSession&>(session).neuron_session().Run(inputs);
+  }
+  void EstimateLatency(sim::SimClock& clock) const override {
+    clock.Merge(neuron::EstimateLatency(*package_));
   }
 
   const std::string& name() const override { return name_; }
   int num_ops() const override { return package_->NumOps(); }
-  std::vector<sim::Resource> resources() const override;
+  std::vector<sim::Resource> resources() const override { return PackageResources(*package_); }
   void AppendProfile(std::vector<relay::ProfileEntry>& out) const override;
 
   const neuron::NeuronPackage& package() const { return *package_; }

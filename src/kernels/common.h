@@ -8,8 +8,12 @@
 //    must match the kernel's inferred output shape.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "support/logging.h"
 #include "tensor/shape.h"
@@ -49,8 +53,14 @@ inline std::int64_t ConvOutDim(std::int64_t in, std::int64_t kernel, std::int64_
   return out;
 }
 
-/// Output shape of conv2d given NCHW input and OIHW weight shapes.
-inline Shape Conv2DOutShape(const Shape& input, const Shape& weight, const Conv2DParams& p) {
+/// True when `shape` has exactly the dims `dims` (no Shape is built).
+inline bool ShapeIs(const Shape& shape, std::span<const std::int64_t> dims) {
+  return std::ranges::equal(shape.dims(), dims);
+}
+
+/// Output dims of conv2d given NCHW input and OIHW weight shapes.
+inline std::array<std::int64_t, 4> Conv2DOutDims(const Shape& input, const Shape& weight,
+                                                 const Conv2DParams& p) {
   TNP_CHECK_EQ(input.rank(), 4);
   TNP_CHECK_EQ(weight.rank(), 4);
   TNP_CHECK_EQ(input[1] % p.groups, 0);
@@ -59,15 +69,27 @@ inline Shape Conv2DOutShape(const Shape& input, const Shape& weight, const Conv2
       << input.ToString() << ", groups " << p.groups << ")";
   const std::int64_t out_h = ConvOutDim(input[2], weight[2], p.stride_h, p.pad_h, p.dilation_h);
   const std::int64_t out_w = ConvOutDim(input[3], weight[3], p.stride_w, p.pad_w, p.dilation_w);
-  return Shape({input[0], weight[0], out_h, out_w});
+  return {input[0], weight[0], out_h, out_w};
+}
+
+/// Output shape of conv2d given NCHW input and OIHW weight shapes.
+inline Shape Conv2DOutShape(const Shape& input, const Shape& weight, const Conv2DParams& p) {
+  const auto dims = Conv2DOutDims(input, weight, p);
+  return Shape(std::vector<std::int64_t>(dims.begin(), dims.end()));
+}
+
+/// Output dims of pool2d given an NCHW input.
+inline std::array<std::int64_t, 4> Pool2DOutDims(const Shape& input, const Pool2DParams& p) {
+  TNP_CHECK_EQ(input.rank(), 4);
+  const std::int64_t out_h = ConvOutDim(input[2], p.kernel_h, p.stride_h, p.pad_h);
+  const std::int64_t out_w = ConvOutDim(input[3], p.kernel_w, p.stride_w, p.pad_w);
+  return {input[0], input[1], out_h, out_w};
 }
 
 /// Output shape of pool2d given an NCHW input.
 inline Shape Pool2DOutShape(const Shape& input, const Pool2DParams& p) {
-  TNP_CHECK_EQ(input.rank(), 4);
-  const std::int64_t out_h = ConvOutDim(input[2], p.kernel_h, p.stride_h, p.pad_h);
-  const std::int64_t out_w = ConvOutDim(input[3], p.kernel_w, p.stride_w, p.pad_w);
-  return Shape({input[0], input[1], out_h, out_w});
+  const auto dims = Pool2DOutDims(input, p);
+  return Shape(std::vector<std::int64_t>(dims.begin(), dims.end()));
 }
 
 }  // namespace kernels

@@ -225,9 +225,10 @@ void Conv2DF32(const NDArray& input, const NDArray& weight, const NDArray& bias,
                NDArray& output, const Conv2DParams& p,
                const PackedMatrix* packed_weights) {
   TNP_KERNEL_SPAN("Conv2DF32");
-  const Shape expected = Conv2DOutShape(input.shape(), weight.shape(), p);
-  TNP_CHECK(output.shape() == expected)
-      << "conv2d output shape " << output.shape().ToString() << " != " << expected.ToString();
+  const auto expected = Conv2DOutDims(input.shape(), weight.shape(), p);
+  TNP_CHECK(ShapeIs(output.shape(), expected))
+      << "conv2d output shape " << output.shape().ToString() << " != "
+      << Conv2DOutShape(input.shape(), weight.shape(), p).ToString();
 
   const std::int64_t batch = input.shape()[0];
   const std::int64_t ci = input.shape()[1];
@@ -370,8 +371,8 @@ void QConv2DS8(const NDArray& input, const NDArray& weight, const NDArray& bias,
                const PackedMatrix* packed_weights) {
   TNP_KERNEL_SPAN("QConv2DS8");
   TNP_CHECK(input_q.valid && weight_q.valid && output_q.valid);
-  const Shape expected = Conv2DOutShape(input.shape(), weight.shape(), p);
-  TNP_CHECK(output.shape() == expected);
+  const auto expected = Conv2DOutDims(input.shape(), weight.shape(), p);
+  TNP_CHECK(ShapeIs(output.shape(), expected));
 
   const std::int64_t batch = input.shape()[0];
   const std::int64_t ci = input.shape()[1];

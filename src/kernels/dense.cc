@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/common.h"
 #include "kernels/gemm.h"
 #include "kernels/instrument.h"
 #include "kernels/scratch.h"
@@ -32,7 +33,7 @@ void DenseF32(const NDArray& input, const NDArray& weight, const NDArray& bias,
   const std::int64_t k = input.shape()[1];
   const std::int64_t n = weight.shape()[0];
   TNP_CHECK_EQ(weight.shape()[1], k);
-  TNP_CHECK(output.shape() == Shape({m, n}));
+  TNP_CHECK(ShapeIs(output.shape(), std::array{m, n}));
 
   const float* in_data = input.Data<float>();
   const float* w_data = weight.Data<float>();
@@ -90,7 +91,7 @@ void QDenseS8(const NDArray& input, const NDArray& weight, const NDArray& bias,
   const std::int64_t k = input.shape()[1];
   const std::int64_t n = weight.shape()[0];
   TNP_CHECK_EQ(weight.shape()[1], k);
-  TNP_CHECK(output.shape() == Shape({m, n}));
+  TNP_CHECK(ShapeIs(output.shape(), std::array{m, n}));
 
   const std::int8_t* in_data = input.Data<std::int8_t>();
   const std::int8_t* w_data = weight.Data<std::int8_t>();

@@ -1,9 +1,11 @@
 #include "kernels/elementwise.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
+#include "kernels/common.h"
 #include "support/thread_pool.h"
 
 namespace tnp {
@@ -23,12 +25,34 @@ void UnaryImpl(const NDArray& input, NDArray& output, Fn fn) {
                        /*grain_size=*/4096);
 }
 
+using Dims = std::array<std::int64_t, kMaxBroadcastRank>;
+
 // Pad `shape` with leading 1s to `rank` dims.
-std::vector<std::int64_t> PadShape(const Shape& shape, int rank) {
-  std::vector<std::int64_t> dims(static_cast<std::size_t>(rank), 1);
+Dims PadShape(const Shape& shape, int rank) {
+  Dims dims;
+  dims.fill(1);
   const int offset = rank - shape.rank();
   for (int i = 0; i < shape.rank(); ++i) dims[static_cast<std::size_t>(offset + i)] = shape[i];
   return dims;
+}
+
+/// The broadcast result's dims in out[0, rank); returns rank. Throws
+/// kInvalidArgument if incompatible.
+int BroadcastDims(const Shape& lhs, const Shape& rhs, Dims& out) {
+  const int rank = std::max(lhs.rank(), rhs.rank());
+  if (rank > kMaxBroadcastRank) {
+    TNP_THROW(kInvalidArgument) << "broadcast rank " << rank << " exceeds " << kMaxBroadcastRank;
+  }
+  const Dims a = PadShape(lhs, rank);
+  const Dims b = PadShape(rhs, rank);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(rank); ++i) {
+    if (a[i] != b[i] && a[i] != 1 && b[i] != 1) {
+      TNP_THROW(kInvalidArgument) << "cannot broadcast " << lhs.ToString() << " with "
+                                  << rhs.ToString();
+    }
+    out[i] = std::max(a[i], b[i]);
+  }
+  return rank;
 }
 
 }  // namespace
@@ -73,29 +97,17 @@ void ReluS8(const NDArray& input, NDArray& output, std::int32_t zero_point) {
 }
 
 Shape BroadcastShape(const Shape& lhs, const Shape& rhs) {
-  const int rank = std::max(lhs.rank(), rhs.rank());
-  if (rank > kMaxBroadcastRank) {
-    TNP_THROW(kInvalidArgument) << "broadcast rank " << rank << " exceeds " << kMaxBroadcastRank;
-  }
-  const auto a = PadShape(lhs, rank);
-  const auto b = PadShape(rhs, rank);
-  std::vector<std::int64_t> out(static_cast<std::size_t>(rank));
-  for (int i = 0; i < rank; ++i) {
-    const std::int64_t da = a[static_cast<std::size_t>(i)];
-    const std::int64_t db = b[static_cast<std::size_t>(i)];
-    if (da != db && da != 1 && db != 1) {
-      TNP_THROW(kInvalidArgument) << "cannot broadcast " << lhs.ToString() << " with "
-                                  << rhs.ToString();
-    }
-    out[static_cast<std::size_t>(i)] = std::max(da, db);
-  }
-  return Shape(std::move(out));
+  Dims dims;
+  const int rank = BroadcastDims(lhs, rhs, dims);
+  return Shape(std::vector<std::int64_t>(dims.begin(), dims.begin() + rank));
 }
 
 void BroadcastBinaryF32(BinaryOp op, const NDArray& lhs, const NDArray& rhs, NDArray& output) {
-  const Shape out_shape = BroadcastShape(lhs.shape(), rhs.shape());
-  TNP_CHECK(output.shape() == out_shape)
-      << output.shape().ToString() << " vs " << out_shape.ToString();
+  Dims out_dims;
+  const int rank = BroadcastDims(lhs.shape(), rhs.shape(), out_dims);
+  TNP_CHECK(ShapeIs(output.shape(), std::span<const std::int64_t>(out_dims.data(),
+                                                                   static_cast<std::size_t>(rank))))
+      << output.shape().ToString() << " vs " << BroadcastShape(lhs.shape(), rhs.shape()).ToString();
 
   const auto apply = [op](float a, float b) -> float {
     switch (op) {
@@ -112,7 +124,7 @@ void BroadcastBinaryF32(BinaryOp op, const NDArray& lhs, const NDArray& rhs, NDA
   const float* pa = lhs.Data<float>();
   const float* pb = rhs.Data<float>();
   float* po = output.Data<float>();
-  const std::int64_t total = out_shape.NumElements();
+  const std::int64_t total = output.NumElements();
 
   // Fast path: identical shapes.
   if (lhs.shape() == rhs.shape()) {
@@ -136,17 +148,17 @@ void BroadcastBinaryF32(BinaryOp op, const NDArray& lhs, const NDArray& rhs, NDA
 
   // General path: decode multi-index, compute per-operand strides with zeros
   // on broadcast axes.
-  const int rank = out_shape.rank();
-  const auto a_dims = PadShape(lhs.shape(), rank);
-  const auto b_dims = PadShape(rhs.shape(), rank);
-  std::vector<std::int64_t> out_strides = out_shape.Strides();
-  std::vector<std::int64_t> a_strides(static_cast<std::size_t>(rank));
-  std::vector<std::int64_t> b_strides(static_cast<std::size_t>(rank));
+  const Dims a_dims = PadShape(lhs.shape(), rank);
+  const Dims b_dims = PadShape(rhs.shape(), rank);
+  Dims out_strides, a_strides, b_strides;
+  std::int64_t so = 1;
   std::int64_t sa = 1;
   std::int64_t sb = 1;
   for (int i = rank - 1; i >= 0; --i) {
+    out_strides[static_cast<std::size_t>(i)] = so;
     a_strides[static_cast<std::size_t>(i)] = a_dims[static_cast<std::size_t>(i)] == 1 ? 0 : sa;
     b_strides[static_cast<std::size_t>(i)] = b_dims[static_cast<std::size_t>(i)] == 1 ? 0 : sb;
+    so *= out_dims[static_cast<std::size_t>(i)];
     sa *= a_dims[static_cast<std::size_t>(i)];
     sb *= b_dims[static_cast<std::size_t>(i)];
   }
@@ -200,27 +212,20 @@ void BatchNormF32(const NDArray& input, const NDArray& gamma, const NDArray& bet
   TNP_CHECK_EQ(mean.NumElements(), channels);
   TNP_CHECK_EQ(var.NumElements(), channels);
 
-  // Fold into per-channel scale/shift once.
-  std::vector<float> scale(static_cast<std::size_t>(channels));
-  std::vector<float> shift(static_cast<std::size_t>(channels));
   const float* g = gamma.Data<float>();
   const float* bt = beta.Data<float>();
   const float* mu = mean.Data<float>();
   const float* vr = var.Data<float>();
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float inv_std = 1.0f / std::sqrt(vr[c] + epsilon);
-    scale[static_cast<std::size_t>(c)] = g[c] * inv_std;
-    shift[static_cast<std::size_t>(c)] = bt[c] - mu[c] * g[c] * inv_std;
-  }
-
   const float* in = input.Data<float>();
   float* out = output.Data<float>();
   const std::int64_t batch = input.shape()[0];
   const std::int64_t area = input.shape()[2] * input.shape()[3];
   support::ParallelFor(0, batch * channels, [&](std::int64_t nc) {
+    // Fold into this channel's scale/shift.
     const std::int64_t c = nc % channels;
-    const float s = scale[static_cast<std::size_t>(c)];
-    const float sh = shift[static_cast<std::size_t>(c)];
+    const float inv_std = 1.0f / std::sqrt(vr[c] + epsilon);
+    const float s = g[c] * inv_std;
+    const float sh = bt[c] - mu[c] * g[c] * inv_std;
     const float* in_plane = in + nc * area;
     float* out_plane = out + nc * area;
     for (std::int64_t i = 0; i < area; ++i) out_plane[i] = in_plane[i] * s + sh;

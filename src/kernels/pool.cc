@@ -14,8 +14,8 @@ namespace {
 
 template <typename T, typename Reduce>
 void PoolImpl(const NDArray& input, NDArray& output, const Pool2DParams& p, Reduce reduce) {
-  const Shape expected = Pool2DOutShape(input.shape(), p);
-  TNP_CHECK(output.shape() == expected);
+  const auto expected = Pool2DOutDims(input.shape(), p);
+  TNP_CHECK(ShapeIs(output.shape(), expected));
   const std::int64_t batch = input.shape()[0];
   const std::int64_t channels = input.shape()[1];
   const std::int64_t in_h = input.shape()[2];
@@ -114,7 +114,8 @@ void AvgPool2DS8(const NDArray& input, NDArray& output, const Pool2DParams& p) {
 void GlobalAvgPool2DF32(const NDArray& input, NDArray& output) {
   TNP_KERNEL_SPAN("GlobalAvgPool2DF32");
   TNP_CHECK_EQ(input.shape().rank(), 4);
-  TNP_CHECK(output.shape() == Shape({input.shape()[0], input.shape()[1], 1, 1}));
+  const std::array<std::int64_t, 4> expected{input.shape()[0], input.shape()[1], 1, 1};
+  TNP_CHECK(ShapeIs(output.shape(), expected));
   const std::int64_t planes = input.shape()[0] * input.shape()[1];
   const std::int64_t area = input.shape()[2] * input.shape()[3];
   const float* in_data = input.Data<float>();
@@ -130,7 +131,8 @@ void GlobalAvgPool2DF32(const NDArray& input, NDArray& output) {
 void GlobalAvgPool2DS8(const NDArray& input, NDArray& output) {
   TNP_KERNEL_SPAN("GlobalAvgPool2DS8");
   TNP_CHECK_EQ(input.shape().rank(), 4);
-  TNP_CHECK(output.shape() == Shape({input.shape()[0], input.shape()[1], 1, 1}));
+  const std::array<std::int64_t, 4> expected{input.shape()[0], input.shape()[1], 1, 1};
+  TNP_CHECK(ShapeIs(output.shape(), expected));
   const std::int64_t planes = input.shape()[0] * input.shape()[1];
   const std::int64_t area = input.shape()[2] * input.shape()[3];
   const std::int8_t* in_data = input.Data<std::int8_t>();

@@ -122,6 +122,88 @@ void PrepackWeights(NeuronPackage* package) {
 
 }  // namespace
 
+void BindOperations(NeuronPackage& package) {
+  using kernels::BinaryOp;
+  using kernels::KernelId;
+  const NeuronModel& model = package.model;
+  package.calls.clear();
+  package.calls.reserve(model.operations().size());
+  for (std::size_t i = 0; i < model.operations().size(); ++i) {
+    const Operation& op = model.operations()[i];
+    const NeuronOpAttrs& attrs = op.attrs;
+    const Operand& out = model.operand(op.outputs.at(0));
+    const bool int8 = out.dtype == DType::kInt8;
+    kernels::KernelCall call;
+    if (!op.inputs.empty()) call.in_q = model.operand(op.inputs[0]).quant;
+    if (op.inputs.size() > 1) call.rhs_q = model.operand(op.inputs[1]).quant;
+    call.out_q = out.quant;
+    call.axis = attrs.axis;
+    TNP_CHECK(attrs.strides.size() == 2 && attrs.padding.size() == 2 &&
+              attrs.dilation.size() == 2 && attrs.pool_size.size() == 2)
+        << NeuronOpTypeName(op.type) << ": window attrs need two entries each";
+    call.conv = {attrs.strides[0],  attrs.strides[1],  attrs.padding[0], attrs.padding[1],
+                 attrs.dilation[0], attrs.dilation[1], attrs.groups};
+    call.pool = {attrs.pool_size[0], attrs.pool_size[1], attrs.strides[0], attrs.strides[1],
+                 attrs.padding[0],   attrs.padding[1],   attrs.count_include_pad};
+    if (i < package.op_packed_weights.size()) {
+      call.packed_weights = package.op_packed_weights[i].get();
+    }
+    const auto pick = [&](KernelId f32, KernelId s8) { call.id = int8 ? s8 : f32; };
+    const auto binary = [&](BinaryOp kind) {
+      call.id = KernelId::kBinary;
+      call.binary = kind;
+    };
+    switch (op.type) {
+      case NeuronOpType::kConv2d: pick(KernelId::kConv2dF32, KernelId::kConv2dS8); break;
+      case NeuronOpType::kFullyConnected: pick(KernelId::kDenseF32, KernelId::kDenseS8); break;
+      case NeuronOpType::kAdd:
+        if (int8) call.id = KernelId::kQAdd; else binary(BinaryOp::kAdd);
+        break;
+      case NeuronOpType::kMul:
+        if (int8) call.id = KernelId::kQMul; else binary(BinaryOp::kMul);
+        break;
+      case NeuronOpType::kSub: binary(BinaryOp::kSub); break;
+      case NeuronOpType::kDiv: binary(BinaryOp::kDiv); break;
+      case NeuronOpType::kMax: binary(BinaryOp::kMax); break;
+      case NeuronOpType::kMin: binary(BinaryOp::kMin); break;
+      case NeuronOpType::kRelu:
+        pick(KernelId::kReluF32, KernelId::kReluS8);
+        if (!call.in_q.valid) call.in_q.zero_point = 0;
+        break;
+      case NeuronOpType::kClip:
+        call.id = KernelId::kClip;
+        call.lo = attrs.clip_min;
+        call.hi = attrs.clip_max;
+        break;
+      case NeuronOpType::kMaxPool2d: pick(KernelId::kMaxPoolF32, KernelId::kMaxPoolS8); break;
+      case NeuronOpType::kAvgPool2d: pick(KernelId::kAvgPoolF32, KernelId::kAvgPoolS8); break;
+      case NeuronOpType::kGlobalAvgPool2d:
+        pick(KernelId::kGlobalAvgPoolF32, KernelId::kGlobalAvgPoolS8);
+        break;
+      case NeuronOpType::kSoftmax: call.id = KernelId::kSoftmax; break;
+      case NeuronOpType::kConcat:
+        pick(KernelId::kConcat, KernelId::kQConcat);
+        for (const OperandId id : op.inputs) call.input_qs.push_back(model.operand(id).quant);
+        break;
+      case NeuronOpType::kReshape: call.id = KernelId::kCopy; break;
+      case NeuronOpType::kBatchNorm:
+        call.id = KernelId::kBatchNorm;
+        call.epsilon = attrs.epsilon;
+        break;
+      case NeuronOpType::kPad:
+        call.id = KernelId::kPad;
+        call.begin = attrs.pad_before;
+        call.end = attrs.pad_after;
+        call.pad_value = attrs.pad_value;
+        break;
+      case NeuronOpType::kQuantize: call.id = KernelId::kQuantize; break;
+      case NeuronOpType::kDequantize: call.id = KernelId::kDequantize; break;
+      case NeuronOpType::kRequantize: call.id = KernelId::kRequantize; break;
+    }
+    package.calls.push_back(std::move(call));
+  }
+}
+
 int NeuronPackage::NumOpsOn(sim::DeviceKind device) const {
   int count = 0;
   for (const sim::DeviceKind d : plan.placement) {
@@ -154,6 +236,7 @@ NeuronPackagePtr NeuronCompiler::Compile(NeuronModel model, const std::string& n
   package->options = options_;
   package->tuning_fingerprint = tune::ActiveTuningFingerprint();
   if (options_.prepack_weights) PrepackWeights(package.get());
+  BindOperations(*package);
   if (scope.armed()) {
     scope.AddArg(support::TraceArg("arena_bytes", package->memory.arena_bytes));
   }

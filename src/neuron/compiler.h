@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "kernels/call.h"
 #include "kernels/pack.h"
 #include "neuron/planner.h"
 
@@ -55,6 +56,9 @@ struct NeuronPackage {
   /// through `packed_weights` so reused constants pack once.
   std::vector<kernels::PackedMatrixPtr> op_packed_weights;
   kernels::PackedWeightsCache packed_weights;
+  /// Every operation bound to its kernel (BindOperations), in operation
+  /// order. Derived at compile and at load; never serialized.
+  std::vector<kernels::KernelCall> calls;
   /// Fingerprint of the tuning DB active when this package was compiled
   /// ("none" without one). Serialized with the artifact so packages built
   /// under different tuning states never mix.
@@ -65,6 +69,13 @@ struct NeuronPackage {
 };
 
 using NeuronPackagePtr = std::shared_ptr<const NeuronPackage>;
+
+/// Bind every operation of `package` to a kernels::KernelCall: the kernel
+/// follows the op type and output dtype, the quantization params come from
+/// the operands (tensor-oriented, paper Section 3.3), and conv /
+/// fully-connected calls point at op_packed_weights. NeuronCompiler::Compile
+/// and the artifact loader both call it.
+void BindOperations(NeuronPackage& package);
 
 class NeuronCompiler {
  public:

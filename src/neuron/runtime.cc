@@ -1,13 +1,5 @@
 #include "neuron/runtime.h"
 
-#include <cstring>
-#include <set>
-
-#include "kernels/conv.h"
-#include "kernels/dense.h"
-#include "kernels/elementwise.h"
-#include "kernels/pool.h"
-#include "kernels/quantize.h"
 #include "neuron/desc.h"
 #include "support/logging.h"
 #include "support/metrics.h"
@@ -16,284 +8,31 @@
 namespace tnp {
 namespace neuron {
 
-namespace {
-
-kernels::Conv2DParams ConvParams(const NeuronOpAttrs& attrs) {
-  kernels::Conv2DParams p;
-  p.stride_h = attrs.strides[0];
-  p.stride_w = attrs.strides[1];
-  p.pad_h = attrs.padding[0];
-  p.pad_w = attrs.padding[1];
-  p.dilation_h = attrs.dilation[0];
-  p.dilation_w = attrs.dilation[1];
-  p.groups = attrs.groups;
-  return p;
-}
-
-kernels::Pool2DParams PoolParams(const NeuronOpAttrs& attrs) {
-  kernels::Pool2DParams p;
-  p.kernel_h = attrs.pool_size[0];
-  p.kernel_w = attrs.pool_size[1];
-  p.stride_h = attrs.strides[0];
-  p.stride_w = attrs.strides[1];
-  p.pad_h = attrs.padding[0];
-  p.pad_w = attrs.padding[1];
-  p.count_include_pad = attrs.count_include_pad;
-  return p;
-}
-
-/// Executes one Neuron operation numerically. `packed_weights` is the op's
-/// compile-time packed weight panel (conv / fully-connected only, else null).
-void RunOperation(const NeuronModel& model, const Operation& op,
-                  std::vector<NDArray>& values,
-                  const kernels::PackedMatrix* packed_weights) {
-  const auto in = [&](std::size_t i) -> const NDArray& {
-    const NDArray& value = values[static_cast<std::size_t>(op.inputs.at(i))];
-    TNP_CHECK(value.defined()) << "operand %" << op.inputs.at(i) << " not materialized";
-    return value;
-  };
-  const auto in_quant = [&](std::size_t i) -> const QuantParams& {
-    return model.operand(op.inputs.at(i)).quant;
-  };
-  const Operand& out_operand = model.operand(op.outputs.at(0));
-  // Pre-planned sessions seed `values` with arena views; the legacy path
-  // allocates the output here.
-  NDArray out = values[static_cast<std::size_t>(op.outputs.at(0))];
-  if (!out.defined()) out = NDArray::Empty(out_operand.shape, out_operand.dtype);
-  const QuantParams& out_quant = out_operand.quant;
-  const bool int8_out = out_operand.dtype == DType::kInt8;
-
-  switch (op.type) {
-    case NeuronOpType::kConv2d: {
-      const NDArray bias = op.inputs.size() > 2 ? in(2) : NDArray();
-      if (int8_out) {
-        kernels::QConv2DS8(in(0), in(1), bias, out, ConvParams(op.attrs), in_quant(0),
-                           in_quant(1), out_quant, packed_weights);
-      } else {
-        kernels::Conv2DF32(in(0), in(1), bias, out, ConvParams(op.attrs), packed_weights);
-      }
-      break;
-    }
-    case NeuronOpType::kFullyConnected: {
-      const NDArray bias = op.inputs.size() > 2 ? in(2) : NDArray();
-      if (int8_out) {
-        kernels::QDenseS8(in(0), in(1), bias, out, in_quant(0), in_quant(1), out_quant,
-                          packed_weights);
-      } else {
-        kernels::DenseF32(in(0), in(1), bias, out, packed_weights);
-      }
-      break;
-    }
-    case NeuronOpType::kAdd:
-      if (int8_out) {
-        kernels::QAddS8(in(0), in(1), out, in_quant(0), in_quant(1), out_quant);
-      } else {
-        kernels::BroadcastBinaryF32(kernels::BinaryOp::kAdd, in(0), in(1), out);
-      }
-      break;
-    case NeuronOpType::kMul:
-      if (int8_out) {
-        kernels::QMulS8(in(0), in(1), out, in_quant(0), in_quant(1), out_quant);
-      } else {
-        kernels::BroadcastBinaryF32(kernels::BinaryOp::kMul, in(0), in(1), out);
-      }
-      break;
-    case NeuronOpType::kSub:
-      kernels::BroadcastBinaryF32(kernels::BinaryOp::kSub, in(0), in(1), out);
-      break;
-    case NeuronOpType::kDiv:
-      kernels::BroadcastBinaryF32(kernels::BinaryOp::kDiv, in(0), in(1), out);
-      break;
-    case NeuronOpType::kMax:
-      kernels::BroadcastBinaryF32(kernels::BinaryOp::kMax, in(0), in(1), out);
-      break;
-    case NeuronOpType::kMin:
-      kernels::BroadcastBinaryF32(kernels::BinaryOp::kMin, in(0), in(1), out);
-      break;
-    case NeuronOpType::kRelu:
-      if (int8_out) {
-        kernels::ReluS8(in(0), out, in_quant(0).valid ? in_quant(0).zero_point : 0);
-      } else {
-        kernels::ReluF32(in(0), out);
-      }
-      break;
-    case NeuronOpType::kClip:
-      kernels::ClipF32(in(0), out, op.attrs.clip_min, op.attrs.clip_max);
-      break;
-    case NeuronOpType::kMaxPool2d:
-      if (int8_out) {
-        kernels::MaxPool2DS8(in(0), out, PoolParams(op.attrs));
-      } else {
-        kernels::MaxPool2DF32(in(0), out, PoolParams(op.attrs));
-      }
-      break;
-    case NeuronOpType::kAvgPool2d:
-      if (int8_out) {
-        kernels::AvgPool2DS8(in(0), out, PoolParams(op.attrs));
-      } else {
-        kernels::AvgPool2DF32(in(0), out, PoolParams(op.attrs));
-      }
-      break;
-    case NeuronOpType::kGlobalAvgPool2d:
-      if (int8_out) {
-        kernels::GlobalAvgPool2DS8(in(0), out);
-      } else {
-        kernels::GlobalAvgPool2DF32(in(0), out);
-      }
-      break;
-    case NeuronOpType::kSoftmax:
-      kernels::SoftmaxF32(in(0), out, op.attrs.axis);
-      break;
-    case NeuronOpType::kConcat: {
-      std::vector<NDArray> tensors;
-      tensors.reserve(op.inputs.size());
-      for (std::size_t i = 0; i < op.inputs.size(); ++i) tensors.push_back(in(i));
-      if (int8_out) {
-        std::vector<QuantParams> qs;
-        for (std::size_t i = 0; i < op.inputs.size(); ++i) qs.push_back(in_quant(i));
-        kernels::QConcatS8(tensors, qs, out, out_quant, op.attrs.axis);
-      } else {
-        kernels::Concat(tensors, out, op.attrs.axis);
-      }
-      break;
-    }
-    case NeuronOpType::kReshape: {
-      // A pure byte copy (both layouts are contiguous); skipped entirely
-      // when the memory plan placed input and output on the same bytes.
-      const NDArray& src = in(0);
-      TNP_CHECK_EQ(src.SizeBytes(), out.SizeBytes());
-      if (out.RawData() != src.RawData()) {
-        std::memcpy(out.RawData(), src.RawData(), src.SizeBytes());
-      }
-      out.set_quant(src.quant());
-      break;
-    }
-    case NeuronOpType::kBatchNorm:
-      kernels::BatchNormF32(in(0), in(1), in(2), in(3), in(4), out, op.attrs.epsilon);
-      break;
-    case NeuronOpType::kPad:
-      kernels::PadConstant(in(0), out, op.attrs.pad_before, op.attrs.pad_after,
-                           op.attrs.pad_value);
-      break;
-    case NeuronOpType::kQuantize:
-      kernels::QuantizeF32ToS8(in(0), out, out_quant);
-      break;
-    case NeuronOpType::kDequantize:
-      kernels::DequantizeS8ToF32(in(0), out, in_quant(0));
-      break;
-    case NeuronOpType::kRequantize:
-      kernels::RequantizeS8(in(0), out, in_quant(0), out_quant);
-      break;
-  }
-  values[static_cast<std::size_t>(op.outputs.at(0))] = std::move(out);
-}
-
-}  // namespace
-
-NeuronExecutionSession::NeuronExecutionSession(NeuronPackagePtr package)
-    : package_(std::move(package)), arena_("neuron/" + package_->name) {
-  TNP_CHECK(package_ != nullptr);
-  const NeuronModel& model = package_->model;
-  const NeuronMemoryPlan& plan = package_->memory;
-  TNP_CHECK_EQ(plan.operands.size(), model.operands().size());
-  arena_.Reserve(static_cast<std::size_t>(plan.arena_bytes));
-  views_.resize(model.operands().size());
-  for (std::size_t id = 0; id < model.operands().size(); ++id) {
-    const OperandStorage& storage = plan.operands[id];
-    if (storage.kind != OperandStorage::Kind::kArena) continue;
-    const Operand& operand = model.operands()[id];
-    const std::size_t bytes = static_cast<std::size_t>(storage.bytes);
-    NDArray view = NDArray::ViewOver(arena_.Data(static_cast<std::size_t>(storage.offset), bytes),
-                                     bytes, operand.shape, operand.dtype, arena_.handle());
-    view.set_quant(operand.quant);
-    views_[id] = std::move(view);
-  }
-}
-
-std::vector<NDArray> NeuronRuntime::Execute(const NeuronPackage& package,
-                                            const std::vector<NDArray>& inputs,
-                                            sim::SimClock* clock, bool execute_numerics,
-                                            NeuronExecutionSession* session) {
+sim::SimClock EstimateLatency(const NeuronPackage& package) {
   const NeuronModel& model = package.model;
   const sim::CostModel cost_model(*package.options.testbed);
+  sim::SimClock clock;
+  clock.AddTransfer(0, kInvocationOverheadUs);  // session dispatch
 
-  // Checkout/checkin discipline: a session backs its run with one shared
-  // arena, so concurrent Executes against the same session would race on
-  // operand storage. Catch that misuse here instead of corrupting tensors.
-  struct SessionGuard {
-    explicit SessionGuard(NeuronExecutionSession* s) : session(s) {
-      if (session != nullptr) {
-        TNP_CHECK(!session->in_use_.exchange(true, std::memory_order_acquire))
-            << "NeuronExecutionSession used by two executors concurrently "
-               "(sessions must be checked out for exclusive use)";
-      }
-    }
-    ~SessionGuard() {
-      if (session != nullptr) session->in_use_.store(false, std::memory_order_release);
-    }
-    NeuronExecutionSession* session;
-  } session_guard(session);
-
-  static support::metrics::Counter& executions =
-      support::metrics::Registry::Global().GetCounter("neuron/executions");
-  executions.Increment();
-  support::TraceScope scope;
-  if (scope.armed()) {
-    scope.Begin("neuron.runtime", std::string("Execute:") + package.name,
-                support::TraceArg("ops", static_cast<int>(model.operations().size())),
-                support::TraceArg("numerics", execute_numerics));
-  }
-
-  sim::SimClock local_clock;
-  local_clock.AddTransfer(0, kInvocationOverheadUs);  // session dispatch
-
-  std::vector<NDArray> values;
-  if (execute_numerics) {
-    TNP_CHECK_EQ(inputs.size(), model.model_inputs().size())
-        << "NeuronRuntime: input count mismatch for package '" << package.name << "'";
-    values.resize(model.operands().size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const Operand& operand = model.operand(model.model_inputs()[i]);
-      TNP_CHECK(inputs[i].defined());
-      TNP_CHECK(inputs[i].shape() == operand.shape)
-          << "input " << i << " shape " << inputs[i].shape().ToString() << " != operand "
-          << operand.shape.ToString();
-      TNP_CHECK(inputs[i].dtype() == operand.dtype);
-      values[static_cast<std::size_t>(model.model_inputs()[i])] = inputs[i];
-    }
-    for (OperandId id = 0; id < static_cast<OperandId>(model.operands().size()); ++id) {
-      if (model.operand(id).kind == OperandKind::kConstant) {
-        values[static_cast<std::size_t>(id)] = model.operand(id).data;
-      }
-    }
-    if (session != nullptr) {
-      TNP_CHECK(session->package_.get() == &package)
-          << "NeuronExecutionSession was created for a different package";
-      for (std::size_t id = 0; id < session->views_.size(); ++id) {
-        if (session->views_[id].defined()) values[id] = session->views_[id];
-      }
-    }
-  }
-
-  // Residence tracking mirrors the planner so transfer costs match the plan.
-  std::vector<std::set<sim::Resource>> residence(model.operands().size());
+  // Residence tracking mirrors the planner so transfer costs match the plan:
+  // one bit per resource an operand's bytes currently live on.
+  const auto bit = [](sim::Resource r) { return static_cast<std::uint8_t>(1u << static_cast<int>(r)); };
+  std::vector<std::uint8_t> residence(model.operands().size(), 0);
   for (const OperandId id : model.model_inputs()) {
-    residence[static_cast<std::size_t>(id)].insert(sim::Resource::kCpu);
+    residence[static_cast<std::size_t>(id)] |= bit(sim::Resource::kCpu);
   }
-
   TNP_CHECK_EQ(package.plan.placement.size(), model.operations().size());
   for (std::size_t op_index = 0; op_index < model.operations().size(); ++op_index) {
     const Operation& op = model.operations()[op_index];
     const sim::DeviceKind device = package.plan.placement[op_index];
     const sim::Resource resource = sim::ResourceOf(device);
-
     // DMA any non-resident inputs.
     for (const OperandId id : op.inputs) {
       const Operand& operand = model.operand(id);
       if (operand.kind == OperandKind::kConstant) continue;
-      auto& where = residence[static_cast<std::size_t>(id)];
-      if (where.count(resource) == 0) {
-        local_clock.AddTransfer(
+      std::uint8_t& where = residence[static_cast<std::size_t>(id)];
+      if ((where & bit(resource)) == 0) {
+        clock.AddTransfer(
             operand.SizeBytes(),
             cost_model.TransferMicros(operand.SizeBytes(), sim::DeviceKind::kNeuronCpu,
                                       resource == sim::Resource::kApu
@@ -304,46 +43,99 @@ std::vector<NDArray> NeuronRuntime::Execute(const NeuronPackage& package,
                      : cost_model.TransferMicros(operand.SizeBytes(),
                                                  sim::DeviceKind::kNeuronApu,
                                                  sim::DeviceKind::kNeuronCpu)));
-        where.insert(resource);
+        where |= bit(resource);
       }
     }
-
     const sim::OpDesc desc = DescribeOperation(model, op);
-    local_clock.AddOp(desc, device, cost_model.OpMicros(desc, device));
-    for (const OperandId id : op.outputs) {
-      residence[static_cast<std::size_t>(id)].insert(resource);
-    }
-
-    if (execute_numerics) {
-      RunOperation(model, op, values,
-                   op_index < package.op_packed_weights.size()
-                       ? package.op_packed_weights[op_index].get()
-                       : nullptr);
-    }
+    clock.AddOp(desc, device, cost_model.OpMicros(desc, device));
+    for (const OperandId id : op.outputs) residence[static_cast<std::size_t>(id)] |= bit(resource);
   }
-
   // Download APU-resident outputs to host memory.
-  std::vector<NDArray> outputs;
   for (const OperandId id : model.model_outputs()) {
-    const Operand& operand = model.operand(id);
-    if (residence[static_cast<std::size_t>(id)].count(sim::Resource::kCpu) == 0) {
-      local_clock.AddTransfer(operand.SizeBytes(),
-                              cost_model.TransferMicros(operand.SizeBytes(),
-                                                        sim::DeviceKind::kNeuronApu,
-                                                        sim::DeviceKind::kNeuronCpu));
+    if ((residence[static_cast<std::size_t>(id)] & bit(sim::Resource::kCpu)) == 0) {
+      const std::int64_t bytes = model.operand(id).SizeBytes();
+      clock.AddTransfer(bytes, cost_model.TransferMicros(bytes, sim::DeviceKind::kNeuronApu,
+                                                         sim::DeviceKind::kNeuronCpu));
     }
-    if (execute_numerics) {
-      const NDArray& value = values[static_cast<std::size_t>(id)];
-      TNP_CHECK(value.defined()) << "model output %" << id << " not produced";
-      outputs.push_back(value);
+  }
+  return clock;
+}
+
+NeuronExecutionSession::NeuronExecutionSession(NeuronPackagePtr package)
+    : package_(std::move(package)),
+      arena_("neuron/" + package_->name),
+      estimate_(EstimateLatency(*package_)) {
+  const NeuronModel& model = package_->model;
+  const NeuronMemoryPlan& plan = package_->memory;
+  TNP_CHECK_EQ(plan.operands.size(), model.operands().size());
+  TNP_CHECK_EQ(package_->calls.size(), model.operations().size())
+      << "package '" << package_->name << "' has unbound operations";
+  arena_.Reserve(static_cast<std::size_t>(plan.arena_bytes));
+  values_.resize(model.operands().size());
+  for (std::size_t id = 0; id < model.operands().size(); ++id) {
+    const Operand& operand = model.operands()[id];
+    const OperandStorage& storage = plan.operands[id];
+    if (operand.kind == OperandKind::kConstant) {
+      values_[id] = operand.data;
+    } else if (storage.kind == OperandStorage::Kind::kArena) {
+      const std::size_t bytes = static_cast<std::size_t>(storage.bytes);
+      values_[id] =
+          NDArray::ViewOver(arena_.Data(static_cast<std::size_t>(storage.offset), bytes), bytes,
+                            operand.shape, operand.dtype, arena_.handle());
+      values_[id].set_quant(operand.quant);
     }
+  }
+  for (const Operation& op : model.operations()) {
+    for (const OperandId id : op.inputs) args_.push_back(&values_[static_cast<std::size_t>(id)]);
+  }
+  for (const OperandId id : model.model_outputs()) {
+    outputs_.push_back(&values_[static_cast<std::size_t>(id)]);
+  }
+}
+
+void NeuronExecutionSession::Run(std::span<const NDArray* const> inputs) {
+  const NeuronPackage& package = *package_;
+  const NeuronModel& model = package.model;
+  // Checkout/checkin discipline: a session backs its run with one shared
+  // arena, so concurrent Runs against the same session would race on
+  // operand storage. Catch that misuse here instead of corrupting tensors.
+  TNP_CHECK(!in_use_.exchange(true, std::memory_order_acquire))
+      << "NeuronExecutionSession used by two executors concurrently "
+         "(sessions must be checked out for exclusive use)";
+  struct Release {
+    std::atomic<bool>& in_use;
+    ~Release() { in_use.store(false, std::memory_order_release); }
+  } release{in_use_};
+
+  static support::metrics::Counter& executions =
+      support::metrics::Registry::Global().GetCounter("neuron/executions");
+  executions.Increment();
+  support::TraceScope scope;
+  if (scope.armed()) {
+    scope.Begin("neuron.runtime", std::string("Execute:") + package.name,
+                support::TraceArg("ops", static_cast<int>(model.operations().size())),
+                support::TraceArg("sim_us", estimate_.total_us()));
   }
 
-  if (scope.armed()) {
-    scope.AddArg(support::TraceArg("sim_us", local_clock.total_us()));
+  TNP_CHECK_EQ(inputs.size(), model.model_inputs().size())
+      << "NeuronRuntime: input count mismatch for package '" << package.name << "'";
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Operand& operand = model.operand(model.model_inputs()[i]);
+    const NDArray& input = *inputs[i];
+    TNP_CHECK(input.defined());
+    TNP_CHECK(input.shape() == operand.shape)
+        << "input " << i << " shape " << input.shape().ToString() << " != operand "
+        << operand.shape.ToString();
+    TNP_CHECK(input.dtype() == operand.dtype);
+    values_[static_cast<std::size_t>(model.model_inputs()[i])] = input;
   }
-  if (clock != nullptr) clock->Merge(local_clock);
-  return outputs;
+  std::size_t arg = 0;
+  for (std::size_t op_index = 0; op_index < model.operations().size(); ++op_index) {
+    const Operation& op = model.operations()[op_index];
+    kernels::Invoke(package.calls[op_index], {args_.data() + arg, op.inputs.size()},
+                    values_[static_cast<std::size_t>(op.outputs.at(0))]);
+    arg += op.inputs.size();
+  }
 }
 
 }  // namespace neuron

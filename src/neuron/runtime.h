@@ -1,7 +1,9 @@
 // Neuron Runtime — executes a compiled NeuronPackage.
 //
-// Numerics run on the host through the shared kernel library (dispatching
-// the int8 kernels when operands carry quantized dtypes); time is accounted
+// Numerics run on the host: every operation is bound once, at compile or
+// load time, to a kernels::KernelCall (NeuronPackage::calls) and invoked
+// through kernels::Invoke, the same dispatcher the graph executor uses.
+// Time is a static property of the package: EstimateLatency accounts it
 // against the plan's devices through the analytic cost model, including
 // CPU<->APU DMA transfers and a fixed per-invocation dispatch overhead.
 // That overhead is what makes "a model partitioned into too many subgraphs"
@@ -9,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "neuron/compiler.h"
@@ -22,49 +25,48 @@ namespace neuron {
 /// buffer setup). Paid per package invocation.
 inline constexpr double kInvocationOverheadUs = 15.0;
 
+/// Simulated time of one invocation of `package`: the invocation overhead,
+/// each operation on its planned device, and the DMA transfers its
+/// placement implies (residence tracking mirrors the planner).
+sim::SimClock EstimateLatency(const NeuronPackage& package);
+
 /// Per-caller execution state of one package: the arena backing its memory
-/// plan plus pre-materialized operand views into it. Creating a session
-/// allocates once; every subsequent Execute against it runs with zero tensor
-/// allocations. Not thread-safe — one session per executing thread at a
-/// time; Execute enforces this checkout/checkin discipline with an
-/// in-use guard (session pools hand sessions out for exclusive use, and a
-/// violated guard means two executors shared one lease).
+/// plan, every operand bound to a fixed tensor (constants, arena views,
+/// inputs) and every operation's operands resolved to those addresses.
+/// Creating a session allocates once; every subsequent Run performs no heap
+/// allocation. Not thread-safe — one session per executing thread at a
+/// time; Run enforces this checkout/checkin discipline with an in-use guard
+/// (session pools hand sessions out for exclusive use, and a violated guard
+/// means two executors shared one lease). Sessions over one package share
+/// it read-only, so they may run concurrently.
 ///
-/// Outputs produced through a session are views into its arena: contents
-/// stay valid until the session's next Execute (the views keep the arena
-/// bytes alive even after the session is destroyed).
+/// Outputs are views into the session's arena: contents stay valid until
+/// the session's next Run (the views keep the arena bytes alive even after
+/// the session is destroyed).
 class NeuronExecutionSession {
  public:
   explicit NeuronExecutionSession(NeuronPackagePtr package);
 
-  const NeuronPackagePtr& package() const { return package_; }
-  std::int64_t arena_bytes() const { return package_->memory.arena_bytes; }
+  /// Execute the package on `inputs` (order matches model_inputs()).
+  void Run(std::span<const NDArray* const> inputs);
+
+  /// Model outputs (order matches model_outputs()), at fixed addresses.
+  std::span<const NDArray* const> outputs() const { return outputs_; }
+
+  /// EstimateLatency of the session's package, computed once.
+  const sim::SimClock& estimate() const { return estimate_; }
 
  private:
-  friend class NeuronRuntime;
   NeuronPackagePtr package_;
   support::Arena arena_;
-  /// Indexed by OperandId; defined only for kArena-planned operands.
-  std::vector<NDArray> views_;
-  /// Set for the duration of an Execute against this session.
+  sim::SimClock estimate_;
+  /// Indexed by OperandId: constants, arena views and the bound inputs.
+  std::vector<NDArray> values_;
+  /// Every operation's input operands, flattened in operation order.
+  std::vector<const NDArray*> args_;
+  std::vector<const NDArray*> outputs_;
+  /// Set for the duration of a Run.
   std::atomic<bool> in_use_{false};
-};
-
-class NeuronRuntime {
- public:
-  /// Execute `package` on `inputs` (order matches model_inputs()).
-  /// When `execute_numerics` is false, no kernels run and the returned
-  /// vector is empty — only `clock` is advanced (used for full-scale
-  /// latency simulation). `clock` may be null.
-  ///
-  /// With a `session` (created for the same package), every temporary
-  /// operand lives in the session's pre-planned arena and the run performs
-  /// no tensor allocations; without one, each operand is freshly allocated
-  /// (the legacy path, kept for differential testing).
-  static std::vector<NDArray> Execute(const NeuronPackage& package,
-                                      const std::vector<NDArray>& inputs,
-                                      sim::SimClock* clock, bool execute_numerics = true,
-                                      NeuronExecutionSession* session = nullptr);
 };
 
 }  // namespace neuron

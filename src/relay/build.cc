@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "kernels/conv.h"
+#include "relay/interpreter.h"
 #include "relay/op.h"
 #include "relay/pass.h"
 #include "relay/visitor.h"
@@ -248,8 +249,9 @@ void ForEachPrepackSite(CompiledModule* compiled, Fn&& fn) {
   }
   for (auto& inst : compiled->instructions) {
     if (inst.kind != Instruction::Kind::kCallOp || inst.input_slots.size() < 2) continue;
-    const bool conv = inst.op_name == "nn.conv2d" || inst.op_name == "qnn.conv2d";
-    const bool dense = inst.op_name == "nn.dense" || inst.op_name == "qnn.dense";
+    const kernels::KernelId id = inst.call.id;
+    const bool conv = id == kernels::KernelId::kConv2dF32 || id == kernels::KernelId::kConv2dS8;
+    const bool dense = id == kernels::KernelId::kDenseF32 || id == kernels::KernelId::kDenseS8;
     if (!conv && !dense) continue;
     const auto it = constants.find(inst.input_slots[1]);
     if (it == constants.end()) continue;  // dynamic weight: runtime fallback
@@ -266,7 +268,7 @@ void ForEachPrepackSite(CompiledModule* compiled, Fn&& fn) {
     site.workload.dtype = int8 ? DType::kInt8 : DType::kFloat32;
     if (conv) {
       if (weight.shape().rank() != 4 || out.shape.rank() != 4) continue;
-      site.groups = inst.attrs.GetInt("groups", 1);
+      site.groups = inst.call.conv.groups;
       if (site.groups <= 0 || weight.shape()[0] % site.groups != 0) continue;
       if (!kernels::Conv2DUsesPackedWeights(weight.shape()[0] / site.groups)) continue;
       // The im2col GEMM: (co_g x k) panels times (k x out-pixels).
@@ -313,6 +315,7 @@ void PrepackConstantWeights(CompiledModule* compiled) {
       return site.int8 ? kernels::PackDenseWeightsS8(weight, config)
                        : kernels::PackDenseWeightsF32(weight, config);
     });
+    inst.call.packed_weights = inst.packed_weights.get();
   });
 }
 
@@ -326,20 +329,28 @@ enum class AliasClass {
   kBinaryLhs,  ///< out[i] = f(lhs[i], rhs[...]), lhs shape must equal out shape
 };
 
-AliasClass AliasClassOf(const std::string& op) {
-  if (op == "reshape" || op == "nn.batch_flatten" || op == "nn.dropout") {
-    return AliasClass::kIdentity;
+AliasClass AliasClassOf(kernels::KernelId id) {
+  using kernels::KernelId;
+  switch (id) {
+    case KernelId::kCopy:
+      return AliasClass::kIdentity;
+    case KernelId::kReluF32:
+    case KernelId::kReluS8:
+    case KernelId::kLeakyRelu:
+    case KernelId::kSigmoid:
+    case KernelId::kTanh:
+    case KernelId::kExp:
+    case KernelId::kSqrt:
+    case KernelId::kClip:
+    case KernelId::kRequantize:
+      return AliasClass::kUnary;
+    case KernelId::kBinary:
+    case KernelId::kQAdd:
+    case KernelId::kQMul:
+      return AliasClass::kBinaryLhs;
+    default:
+      return AliasClass::kNone;
   }
-  if (op == "nn.relu" || op == "nn.leaky_relu" || op == "sigmoid" || op == "tanh" ||
-      op == "exp" || op == "sqrt" || op == "clip" || op == "qnn.requantize" ||
-      op == "qnn.relu") {
-    return AliasClass::kUnary;
-  }
-  if (op == "add" || op == "subtract" || op == "multiply" || op == "divide" ||
-      op == "maximum" || op == "minimum" || op == "qnn.add" || op == "qnn.mul") {
-    return AliasClass::kBinaryLhs;
-  }
-  return AliasClass::kNone;
 }
 
 /// Liveness analysis + greedy best-fit storage assignment over the linear
@@ -380,6 +391,7 @@ MemoryPlan PlanMemory(const CompiledModule& compiled) {
   }
 
   MemoryPlan plan;
+  plan.slots = compiled.memory_plan.slots;  // graph-input types recorded by Build
   plan.slots.resize(static_cast<std::size_t>(n_slots));
   for (int s = 0; s < n_slots; ++s) {
     plan.slots[static_cast<std::size_t>(s)].first_def = first_def[static_cast<std::size_t>(s)];
@@ -409,7 +421,7 @@ MemoryPlan PlanMemory(const CompiledModule& compiled) {
     const int lu = std::max(last_use[static_cast<std::size_t>(inst.output_slot)], i);
 
     // Try to run the op in place over its first input's region.
-    const AliasClass alias_class = AliasClassOf(inst.op_name);
+    const AliasClass alias_class = AliasClassOf(inst.call.id);
     if (alias_class != AliasClass::kNone && !inst.input_slots.empty()) {
       const int in_slot = inst.input_slots.front();
       const int in_region = region_of[static_cast<std::size_t>(in_slot)];
@@ -477,8 +489,7 @@ sim::SimClock CompiledModule::EstimateLatency() const {
         }
         break;
       case Instruction::Kind::kCallExternal:
-        externals[static_cast<std::size_t>(inst.external_index)]->Run(
-            {}, &clock, /*execute_numerics=*/false);
+        externals[static_cast<std::size_t>(inst.external_index)]->EstimateLatency(clock);
         break;
       default:
         break;  // constants / tuple plumbing are free
@@ -563,6 +574,15 @@ CompiledModulePtr Build(const Module& module, const BuildOptions& options) {
   const Type& out_type = main_fn->body()->checked_type();
   compiled->num_outputs = out_type.IsTuple() ? static_cast<int>(out_type.AsTuple().size()) : 1;
 
+  // Graph-input types live in the memory plan, where BindInstructions (here
+  // and in the artifact loader) reads them and PlanMemory keeps them.
+  compiled->memory_plan.slots.resize(static_cast<std::size_t>(compiled->num_slots));
+  for (const auto& param : main_fn->params()) {
+    if (!param->checked_type().IsTensor()) continue;
+    compiled->memory_plan.slots[static_cast<std::size_t>(
+        compiled->input_slots.at(param->name()))].type = param->checked_type().AsTensor();
+  }
+  BindInstructions(*compiled);
   compiled->memory_plan = PlanMemory(*compiled);
 
   compiled->tuning_fingerprint = tune::ActiveTuningFingerprint();
@@ -592,37 +612,89 @@ std::vector<tune::Workload> CollectGemmWorkloads(const CompiledModule& compiled)
   return workloads;
 }
 
-GraphExecutor::GraphExecutor(CompiledModulePtr compiled, bool use_memory_plan)
-    : compiled_(std::move(compiled)), planned_(use_memory_plan), arena_("relay/executor") {
-  TNP_CHECK(compiled_ != nullptr);
-  slots_.resize(static_cast<std::size_t>(compiled_->num_slots));
-  if (!planned_) return;
-
-  const MemoryPlan& plan = compiled_->memory_plan;
-  arena_.Reserve(static_cast<std::size_t>(plan.arena_bytes));
-  planned_views_.resize(static_cast<std::size_t>(compiled_->num_slots));
-  for (int s = 0; s < compiled_->num_slots; ++s) {
-    const SlotPlan& slot = plan.slots[static_cast<std::size_t>(s)];
-    if (slot.kind != SlotPlan::Kind::kArena && slot.kind != SlotPlan::Kind::kAlias) continue;
-    const std::size_t bytes = static_cast<std::size_t>(slot.bytes);
-    planned_views_[static_cast<std::size_t>(s)] =
-        NDArray::ViewOver(arena_.Data(static_cast<std::size_t>(slot.offset), bytes), bytes,
-                          slot.type.shape, slot.type.dtype, arena_.handle());
+void BindInstructions(CompiledModule& compiled) {
+  std::vector<Type> slot_types(static_cast<std::size_t>(compiled.num_slots));
+  for (std::size_t s = 0; s < compiled.memory_plan.slots.size(); ++s) {
+    const TensorType& type = compiled.memory_plan.slots[s].type;
+    // Slots the plan holds no type for (tuples, external outputs) keep rank 0.
+    if (type.shape.rank() > 0) slot_types[s] = Type::Tensor(type.shape, type.dtype);
   }
-  // Constants bind once; Execute never reassigns them in planned mode.
-  for (const auto& inst : compiled_->instructions) {
-    if (inst.kind == Instruction::Kind::kConstant) {
-      slots_[static_cast<std::size_t>(inst.output_slot)] = Value(inst.constant);
+  for (Instruction& inst : compiled.instructions) {
+    if (inst.kind == Instruction::Kind::kCallOp) {
+      std::vector<Type> arg_types;
+      for (const int slot : inst.input_slots) {
+        arg_types.push_back(slot_types[static_cast<std::size_t>(slot)]);
+      }
+      inst.call = BindOp(inst.op_name, inst.attrs, arg_types, inst.out_type);
+      inst.call.packed_weights = inst.packed_weights.get();
     }
-  }
-  external_sessions_.resize(compiled_->externals.size());
-  for (std::size_t i = 0; i < compiled_->externals.size(); ++i) {
-    external_sessions_[i] = compiled_->externals[i]->CreateSession();
+    slot_types[static_cast<std::size_t>(inst.output_slot)] = inst.out_type;
   }
 }
 
-std::int64_t GraphExecutor::arena_bytes() const {
-  return planned_ ? compiled_->memory_plan.arena_bytes : 0;
+GraphExecutor::GraphExecutor(CompiledModulePtr compiled)
+    : compiled_(std::move(compiled)), arena_("relay/executor") {
+  TNP_CHECK(compiled_ != nullptr);
+  const MemoryPlan& plan = compiled_->memory_plan;
+  const std::size_t num_slots = static_cast<std::size_t>(compiled_->num_slots);
+  TNP_CHECK_EQ(plan.slots.size(), num_slots) << "compiled module has no memory plan";
+  arena_.Reserve(static_cast<std::size_t>(plan.arena_bytes));
+  tensors_.resize(num_slots);
+  for (const auto& external : compiled_->externals) sessions_.push_back(external->CreateSession());
+
+  // Resolve where every slot's value lives — one tensor, or a tuple's
+  // tensors — so tuples and projections cost nothing at run time.
+  std::vector<std::vector<const NDArray*>> value(num_slots);
+  for (const auto& [name, slot] : compiled_->input_slots) {
+    value[static_cast<std::size_t>(slot)] = {&tensors_[static_cast<std::size_t>(slot)]};
+  }
+  for (const Instruction& inst : compiled_->instructions) {
+    const std::size_t out = static_cast<std::size_t>(inst.output_slot);
+    std::vector<const NDArray*> operands;
+    for (const int slot : inst.input_slots) {
+      const auto& field = value[static_cast<std::size_t>(slot)];
+      operands.insert(operands.end(), field.begin(), field.end());
+    }
+    Step step{&inst, args_.size(), operands.size(), nullptr, nullptr};
+    switch (inst.kind) {
+      case Instruction::Kind::kConstant:
+        tensors_[out] = inst.constant;
+        value[out] = {&tensors_[out]};
+        continue;
+      case Instruction::Kind::kTuple:
+        for (const int slot : inst.input_slots) {
+          TNP_CHECK_EQ(value[static_cast<std::size_t>(slot)].size(), 1u)
+              << "nested tuples are not supported by the executor";
+        }
+        value[out] = std::move(operands);
+        continue;
+      case Instruction::Kind::kTupleGetItem:
+        value[out] = {value[static_cast<std::size_t>(inst.input_slots.at(0))].at(
+            static_cast<std::size_t>(inst.tuple_index))};
+        continue;
+      case Instruction::Kind::kCallOp: {
+        const SlotPlan& slot = plan.slots[out];
+        TNP_CHECK(slot.kind == SlotPlan::Kind::kArena || slot.kind == SlotPlan::Kind::kAlias)
+            << "kCallOp slot " << out << " has no planned storage";
+        const std::size_t bytes = static_cast<std::size_t>(slot.bytes);
+        tensors_[out] =
+            NDArray::ViewOver(arena_.Data(static_cast<std::size_t>(slot.offset), bytes), bytes,
+                              slot.type.shape, slot.type.dtype, arena_.handle());
+        value[out] = {&tensors_[out]};
+        step.out = &tensors_[out];
+        break;
+      }
+      case Instruction::Kind::kCallExternal: {
+        step.session = sessions_[static_cast<std::size_t>(inst.external_index)].get();
+        const auto outputs = step.session->outputs();
+        value[out].assign(outputs.begin(), outputs.end());
+        break;
+      }
+    }
+    args_.insert(args_.end(), operands.begin(), operands.end());
+    steps_.push_back(step);
+  }
+  outputs_ = value[static_cast<std::size_t>(compiled_->output_slot)];
 }
 
 void GraphExecutor::SetInput(const std::string& name, NDArray value) {
@@ -630,80 +702,25 @@ void GraphExecutor::SetInput(const std::string& name, NDArray value) {
   if (it == compiled_->input_slots.end()) {
     TNP_THROW(kInvalidArgument) << "no graph input named '" << name << "'";
   }
-  slots_[static_cast<std::size_t>(it->second)] = Value(std::move(value));
+  tensors_[static_cast<std::size_t>(it->second)] = std::move(value);
 }
 
-void GraphExecutor::Run() { Execute(/*execute_numerics=*/true); }
-
-void GraphExecutor::Execute(bool execute_numerics) {
-  TNP_TRACE_SCOPE("relay.execute", "GraphExecutor::Run",
-                  support::TraceArg("numerics", execute_numerics),
-                  support::TraceArg("planned", planned_));
-  last_clock_.Reset();
-  const sim::CostModel cost_model(*compiled_->options.testbed);
-  const sim::DeviceKind host = compiled_->options.host_device;
-
-  for (const auto& inst : compiled_->instructions) {
-    std::vector<Value> args;
-    args.reserve(inst.input_slots.size());
-    for (const int slot : inst.input_slots) {
-      args.push_back(slots_[static_cast<std::size_t>(slot)]);
-    }
-
-    switch (inst.kind) {
-      case Instruction::Kind::kConstant:
-        if (!planned_) {
-          slots_[static_cast<std::size_t>(inst.output_slot)] = Value(inst.constant);
-        }
-        break;
-      case Instruction::Kind::kCallOp: {
-        if (inst.charge) {
-          last_clock_.AddOp(inst.desc, host, cost_model.OpMicros(inst.desc, host));
-        }
-        if (!execute_numerics) break;
-        NDArray out = planned_ ? planned_views_[static_cast<std::size_t>(inst.output_slot)]
-                               : NDArray();
-        if (!out.defined()) {
-          const TensorType& out_type = inst.out_type.AsTensor();
-          out = NDArray::Empty(out_type.shape, out_type.dtype);
-        }
-        EvalOpCallInto(inst.op_name, inst.attrs, args, out, inst.packed_weights.get());
-        slots_[static_cast<std::size_t>(inst.output_slot)] = Value(std::move(out));
-        break;
-      }
-      case Instruction::Kind::kCallExternal: {
-        sim::SimClock external_clock;
-        const std::size_t index = static_cast<std::size_t>(inst.external_index);
-        ExternalSession* session =
-            planned_ && index < external_sessions_.size() ? external_sessions_[index].get()
-                                                          : nullptr;
-        slots_[static_cast<std::size_t>(inst.output_slot)] =
-            compiled_->externals[index]->Run(args, &external_clock, execute_numerics, session);
-        last_clock_.Merge(external_clock);
-        break;
-      }
-      case Instruction::Kind::kTuple:
-        slots_[static_cast<std::size_t>(inst.output_slot)] = Value(std::move(args));
-        break;
-      case Instruction::Kind::kTupleGetItem:
-        if (execute_numerics) {
-          const auto& fields = args.at(0).AsTuple();
-          slots_[static_cast<std::size_t>(inst.output_slot)] =
-              fields.at(static_cast<std::size_t>(inst.tuple_index));
-        }
-        break;
+void GraphExecutor::Run() {
+  TNP_TRACE_SCOPE("relay.execute", "GraphExecutor::Run");
+  for (const Step& step : steps_) {
+    const std::span<const NDArray* const> args(args_.data() + step.first_arg, step.num_args);
+    if (step.session != nullptr) {
+      compiled_->externals[static_cast<std::size_t>(step.inst->external_index)]->Run(
+          *step.session, args);
+    } else {
+      kernels::Invoke(step.inst->call, args, *step.out);
     }
   }
 }
 
 NDArray GraphExecutor::GetOutput(int index) const {
-  TNP_CHECK(index >= 0 && index < compiled_->num_outputs) << "output index out of range";
-  const Value& out = slots_[static_cast<std::size_t>(compiled_->output_slot)];
-  if (!out.is_tuple()) {
-    TNP_CHECK_EQ(index, 0);
-    return out.AsTensor();
-  }
-  return out.AsTuple().at(static_cast<std::size_t>(index)).AsTensor();
+  TNP_CHECK(index >= 0 && index < NumOutputs()) << "output index out of range";
+  return *outputs_[static_cast<std::size_t>(index)];
 }
 
 }  // namespace relay

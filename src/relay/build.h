@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kernels/call.h"
 #include "kernels/pack.h"
 #include "relay/external.h"
 #include "relay/module.h"
@@ -48,8 +49,11 @@ struct Instruction {
   // kCallOp (snapshotted; the AST call node is dropped after lowering)
   std::string op_name;
   Attrs attrs;
+  /// The op bound to its kernel (BindOp). Derived from op_name/attrs/types
+  /// by Build and again by the artifact loader; never serialized.
+  kernels::KernelCall call;
   /// Checked output type (kCallOp / kCallExternal / tuple plumbing) — drives
-  /// memory planning and output allocation on the legacy path.
+  /// memory planning.
   Type out_type;
   /// Fusion group this instruction was inlined from (-1 = not fused).
   int fusion_group = -1;
@@ -68,7 +72,8 @@ struct Instruction {
   /// Pre-packed panel form of this op's constant weight argument (conv/dense
   /// only; null when the weight is dynamic, the op takes the direct path, or
   /// prepack_weights is off). Shares the module-level PackedWeightsCache
-  /// entry, so instructions reusing one constant share one pack.
+  /// entry, so instructions reusing one constant share one pack; `call`
+  /// points at it.
   kernels::PackedMatrixPtr packed_weights;
 
   /// Cost descriptor (charged kCallOp; externals account internally).
@@ -88,7 +93,7 @@ struct SlotPlan {
   std::int64_t offset = 0;  ///< arena offset (kArena and resolved kAlias)
   std::int64_t bytes = 0;   ///< view size in bytes (kArena / kAlias)
   int alias_of = -1;        ///< kAlias: the input slot whose region is shared
-  TensorType type;          ///< view shape/dtype (kArena / kAlias)
+  TensorType type;          ///< view shape/dtype (kArena / kAlias / graph input)
   int first_def = -1;       ///< instruction index producing the slot (-1 = input)
   /// Last instruction index reading the slot's bytes, after tuple-forwarding
   /// propagation and alias extension. INT_MAX for program outputs.
@@ -131,8 +136,9 @@ class CompiledModule {
   /// keys, so artifacts built under different tuning states never mix.
   std::string tuning_fingerprint = "none";
 
-  /// Static (simulation-only) latency estimate: execute no numerics, only
-  /// walk the program accumulating simulated time.
+  /// Simulated latency of one run: walks the program accumulating the cost
+  /// model's time. It depends only on the compiled program, so executors
+  /// never charge it per run.
   sim::SimClock EstimateLatency() const;
 
   /// Per-operator profile (host instructions + every op inside external
@@ -157,51 +163,63 @@ CompiledModulePtr Build(const Module& module, const BuildOptions& options = Buil
 /// tuning DB for — the tuning CLI sweeps it.
 std::vector<tune::Workload> CollectGemmWorkloads(const CompiledModule& compiled);
 
+/// Bind every kCallOp of `compiled` to its kernel call (BindOp) and point
+/// each call at its instruction's packed weights. Argument types come from
+/// the instructions' output types and, for graph inputs, the memory plan.
+/// Build and the artifact loader both call it: bound calls are derived,
+/// never serialized.
+void BindInstructions(CompiledModule& compiled);
+
 /// Stateful executor over a CompiledModule (thread-compatible: use one
 /// executor per thread; the CompiledModule itself is immutable and shared).
 ///
-/// By default the executor runs against the module's MemoryPlan: it reserves
-/// one arena per executor, materializes every planned slot as a view into it
-/// once, creates a session per external module, and steady-state Run() calls
-/// perform zero tensor allocations. Pass use_memory_plan=false for the
-/// legacy allocate-per-op path (differential testing).
+/// Construction binds the program once: it reserves one arena, materializes
+/// every planned slot as a view into it, creates a session per external
+/// module and resolves every instruction's operands to fixed tensor
+/// addresses (tuples and projections resolve away). Run() then walks that
+/// bound plan — kernels::Invoke per kernel call, ExternalModule::Run per
+/// subgraph — with zero heap allocations in steady state.
 ///
-/// Planned-mode GetOutput returns a view into the executor's arena: the
-/// contents stay valid until the next Run() (the view itself keeps the arena
-/// bytes alive even after the executor is destroyed).
+/// GetOutput returns a view into the executor's arena (or an external
+/// session's): the contents stay valid until the next Run() (the view itself
+/// keeps the bytes alive even after the executor is destroyed).
 class GraphExecutor {
  public:
-  explicit GraphExecutor(CompiledModulePtr compiled, bool use_memory_plan = true);
+  explicit GraphExecutor(CompiledModulePtr compiled);
 
   void SetInput(const std::string& name, NDArray value);
 
-  /// Execute numerically; simulated time for the run is in last_clock().
+  /// Execute the bound plan numerically.
   void Run();
 
-  int NumOutputs() const { return compiled_->num_outputs; }
+  int NumOutputs() const { return static_cast<int>(outputs_.size()); }
   NDArray GetOutput(int index = 0) const;
-
-  const sim::SimClock& last_clock() const { return last_clock_; }
 
   const CompiledModule& compiled() const { return *compiled_; }
 
-  /// True when Run() executes against the pre-planned arena.
-  bool planned() const { return planned_; }
-  /// Planned arena footprint in bytes (0 in legacy mode).
-  std::int64_t arena_bytes() const;
+  /// Planned arena footprint in bytes.
+  std::int64_t arena_bytes() const { return compiled_->memory_plan.arena_bytes; }
 
  private:
-  void Execute(bool execute_numerics);
+  /// One bound step: a kernel call (`out` set) or an external subgraph call
+  /// (`session` set), with its operands at args_[first_arg, +num_args).
+  struct Step {
+    const Instruction* inst = nullptr;
+    std::size_t first_arg = 0;
+    std::size_t num_args = 0;
+    NDArray* out = nullptr;
+    ExternalSession* session = nullptr;
+  };
 
   CompiledModulePtr compiled_;
-  bool planned_ = false;
   support::Arena arena_;
-  std::vector<Value> slots_;
-  /// Pre-materialized views for kArena/kAlias slots (planned mode only).
-  std::vector<NDArray> planned_views_;
-  /// Per-external-module execution state (planned mode only).
-  std::vector<ExternalSessionPtr> external_sessions_;
-  sim::SimClock last_clock_;
+  /// Per slot: graph inputs, constants and planned arena views.
+  std::vector<NDArray> tensors_;
+  std::vector<ExternalSessionPtr> sessions_;
+  std::vector<const NDArray*> args_;
+  std::vector<Step> steps_;
+  /// The program result's tensors (one per output).
+  std::vector<const NDArray*> outputs_;
 };
 
 }  // namespace relay

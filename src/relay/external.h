@@ -9,12 +9,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "relay/expr.h"
-#include "relay/interpreter.h"
 #include "sim/timeline.h"
+#include "tensor/ndarray.h"
 
 namespace tnp {
 namespace relay {
@@ -35,6 +36,11 @@ struct ProfileEntry {
 class ExternalSession {
  public:
   virtual ~ExternalSession() = default;
+
+  /// The subgraph's output tensors. Their addresses are fixed for the
+  /// session's lifetime (executors bind them once); each Run rewrites their
+  /// contents, which stay valid until the next Run.
+  virtual std::span<const NDArray* const> outputs() const = 0;
 };
 
 using ExternalSessionPtr = std::shared_ptr<ExternalSession>;
@@ -44,18 +50,16 @@ class ExternalModule {
  public:
   virtual ~ExternalModule() = default;
 
-  /// Execute the subgraph. When `execute_numerics` is false only simulated
-  /// time is accounted (used by the benchmark harnesses at full model
-  /// scale). `clock` may be null when the caller does not track time.
-  /// `session` is a state object from CreateSession() or null for the
-  /// legacy allocate-per-run path; outputs produced against a session are
-  /// views into its arena, valid until the session's next Run.
-  virtual Value Run(const std::vector<Value>& inputs, sim::SimClock* clock,
-                    bool execute_numerics, ExternalSession* session = nullptr) = 0;
+  /// Create the per-executor execution state Run requires.
+  virtual ExternalSessionPtr CreateSession() const = 0;
 
-  /// Create per-executor execution state for Run. The default (null) means
-  /// the module is stateless and always allocates its outputs.
-  virtual ExternalSessionPtr CreateSession() const { return nullptr; }
+  /// Execute the subgraph on `inputs` against `session` (created by this
+  /// module's CreateSession); the results land in session.outputs().
+  virtual void Run(ExternalSession& session, std::span<const NDArray* const> inputs) const = 0;
+
+  /// Add the simulated time of one invocation to `clock`. It depends only on
+  /// the compiled subgraph, so it is never charged per run.
+  virtual void EstimateLatency(sim::SimClock& clock) const = 0;
 
   virtual const std::string& name() const = 0;
 

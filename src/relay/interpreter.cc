@@ -1,15 +1,9 @@
 #include "relay/interpreter.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <unordered_map>
 
-#include "kernels/conv.h"
-#include "kernels/dense.h"
-#include "kernels/elementwise.h"
-#include "kernels/pool.h"
-#include "kernels/quantize.h"
 #include "relay/op.h"
 
 namespace tnp {
@@ -18,13 +12,7 @@ namespace relay {
 namespace {
 
 using kernels::BinaryOp;
-
-std::vector<Type> ArgTypes(const std::vector<Value>& args) {
-  std::vector<Type> types;
-  types.reserve(args.size());
-  for (const auto& arg : args) types.push_back(arg.GetType());
-  return types;
-}
+using kernels::KernelId;
 
 QuantParams QP(const Attrs& attrs, const char* scale_key, const char* zp_key) {
   return QuantParams(static_cast<float>(attrs.RequireDouble(scale_key)),
@@ -32,10 +20,7 @@ QuantParams QP(const Attrs& attrs, const char* scale_key, const char* zp_key) {
 }
 
 std::vector<int> ToIntVector(const std::vector<std::int64_t>& v) {
-  std::vector<int> out;
-  out.reserve(v.size());
-  for (const std::int64_t x : v) out.push_back(static_cast<int>(x));
-  return out;
+  return std::vector<int>(v.begin(), v.end());
 }
 
 kernels::Conv2DParams ConvParams(const Attrs& attrs) {
@@ -68,6 +53,44 @@ kernels::Pool2DParams PoolParams(const Attrs& attrs) {
   return p;
 }
 
+struct OpKernel {
+  KernelId id;
+  BinaryOp binary = BinaryOp::kAdd;
+};
+
+/// Relay op -> kernel. Ops whose dtype picks the kernel map to the float32
+/// variant here; BindOp switches to the int8 one.
+const std::unordered_map<std::string, OpKernel>& OpKernels() {
+  static const std::unordered_map<std::string, OpKernel> kTable = {
+      {"nn.conv2d", {KernelId::kConv2dF32}},     {"qnn.conv2d", {KernelId::kConv2dS8}},
+      {"nn.dense", {KernelId::kDenseF32}},       {"qnn.dense", {KernelId::kDenseS8}},
+      {"nn.bias_add", {KernelId::kBiasAdd}},     {"nn.relu", {KernelId::kReluF32}},
+      {"qnn.relu", {KernelId::kReluS8}},         {"nn.leaky_relu", {KernelId::kLeakyRelu}},
+      {"sigmoid", {KernelId::kSigmoid}},         {"tanh", {KernelId::kTanh}},
+      {"exp", {KernelId::kExp}},                 {"sqrt", {KernelId::kSqrt}},
+      {"clip", {KernelId::kClip}},               {"qnn.add", {KernelId::kQAdd}},
+      {"add", {KernelId::kBinary, BinaryOp::kAdd}},
+      {"subtract", {KernelId::kBinary, BinaryOp::kSub}},
+      {"multiply", {KernelId::kBinary, BinaryOp::kMul}},
+      {"divide", {KernelId::kBinary, BinaryOp::kDiv}},
+      {"maximum", {KernelId::kBinary, BinaryOp::kMax}},
+      {"minimum", {KernelId::kBinary, BinaryOp::kMin}},
+      {"qnn.mul", {KernelId::kQMul}},            {"nn.max_pool2d", {KernelId::kMaxPoolF32}},
+      {"nn.avg_pool2d", {KernelId::kAvgPoolF32}},
+      {"nn.global_avg_pool2d", {KernelId::kGlobalAvgPoolF32}},
+      {"nn.batch_norm", {KernelId::kBatchNorm}}, {"nn.softmax", {KernelId::kSoftmax}},
+      {"nn.dropout", {KernelId::kCopy}},         {"nn.batch_flatten", {KernelId::kCopy}},
+      {"reshape", {KernelId::kCopy}},            {"transpose", {KernelId::kTranspose}},
+      {"concatenate", {KernelId::kConcat}},      {"qnn.concatenate", {KernelId::kQConcat}},
+      {"nn.pad", {KernelId::kPad}},              {"nn.upsampling", {KernelId::kUpsampling}},
+      {"strided_slice", {KernelId::kStridedSlice}}, {"mean", {KernelId::kMean}},
+      {"cast", {KernelId::kCast}},               {"qnn.quantize", {KernelId::kQuantize}},
+      {"qnn.dequantize", {KernelId::kDequantize}},
+      {"qnn.requantize", {KernelId::kRequantize}},
+  };
+  return kTable;
+}
+
 }  // namespace
 
 Type Value::GetType() const {
@@ -81,227 +104,145 @@ Type Value::GetType() const {
   return Type::Tensor(tensor_.shape(), tensor_.dtype());
 }
 
-void EvalOpCallInto(const std::string& op, const Attrs& attrs,
-                    const std::vector<Value>& args, NDArray& out,
-                    const kernels::PackedMatrix* packed_weights) {
-  const auto tensor_arg = [&](std::size_t i) -> const NDArray& { return args[i].AsTensor(); };
-
-  if (op == "nn.conv2d") {
-    kernels::Conv2DF32(tensor_arg(0), tensor_arg(1), tensor_arg(2), out, ConvParams(attrs),
-                       packed_weights);
-    return;
+kernels::KernelCall BindOp(const std::string& op, const Attrs& attrs,
+                           const std::vector<Type>& arg_types, const Type& out_type) {
+  const auto it = OpKernels().find(op);
+  if (it == OpKernels().end()) {
+    TNP_THROW(kCompileError) << "no kernel for operator '" << op << "'";
   }
-  if (op == "nn.dense") {
-    kernels::DenseF32(tensor_arg(0), tensor_arg(1), tensor_arg(2), out, packed_weights);
-    return;
-  }
-  if (op == "nn.bias_add") {
-    kernels::BiasAddF32(tensor_arg(0), tensor_arg(1), out,
-                        static_cast<int>(attrs.GetInt("axis", 1)));
-    return;
-  }
-  if (op == "nn.relu") {
-    if (tensor_arg(0).dtype() == DType::kInt8) {
-      kernels::ReluS8(tensor_arg(0), out, 0);
-    } else {
-      kernels::ReluF32(tensor_arg(0), out);
+  kernels::KernelCall call;
+  call.id = it->second.id;
+  call.binary = it->second.binary;
+  const bool int8 = out_type.IsTensor() && out_type.AsTensor().dtype == DType::kInt8;
+  switch (call.id) {
+    case KernelId::kConv2dF32:
+    case KernelId::kConv2dS8:
+      call.conv = ConvParams(attrs);
+      break;
+    case KernelId::kReluF32:
+      if (int8) call.id = KernelId::kReluS8;  // relu in int8 form clamps at 0
+      break;
+    case KernelId::kReluS8:
+      call.in_q.zero_point = static_cast<std::int32_t>(attrs.RequireInt("zero_point"));
+      break;
+    case KernelId::kMaxPoolF32:
+      call.pool = PoolParams(attrs);
+      if (int8) call.id = KernelId::kMaxPoolS8;
+      break;
+    case KernelId::kAvgPoolF32:
+      call.pool = PoolParams(attrs);
+      if (int8) call.id = KernelId::kAvgPoolS8;
+      break;
+    case KernelId::kGlobalAvgPoolF32:
+      if (int8) call.id = KernelId::kGlobalAvgPoolS8;
+      break;
+    case KernelId::kBiasAdd:
+      call.axis = static_cast<int>(attrs.GetInt("axis", 1));
+      break;
+    case KernelId::kLeakyRelu:
+      call.alpha = static_cast<float>(attrs.GetDouble("alpha", 0.01));
+      break;
+    case KernelId::kClip:
+      call.lo = static_cast<float>(attrs.RequireDouble("a_min"));
+      call.hi = static_cast<float>(attrs.RequireDouble("a_max"));
+      break;
+    case KernelId::kBatchNorm:
+      call.epsilon = static_cast<float>(attrs.GetDouble("epsilon", 1e-5));
+      break;
+    case KernelId::kSoftmax:
+      call.axis = static_cast<int>(attrs.GetInt("axis", -1));
+      break;
+    case KernelId::kTranspose:
+      call.axes = ToIntVector(attrs.RequireInts("axes"));
+      break;
+    case KernelId::kMean:
+      call.axes = ToIntVector(attrs.RequireInts("axis"));
+      break;
+    case KernelId::kConcat:
+      call.axis = static_cast<int>(attrs.GetInt("axis", 0));
+      break;
+    case KernelId::kQConcat: {
+      call.axis = static_cast<int>(attrs.GetInt("axis", 0));
+      call.out_q = QP(attrs, "output_scale", "output_zero_point");
+      const auto scales = attrs.GetDoubles("input_scales", {});
+      const auto zps = attrs.GetInts("input_zero_points", {});
+      TNP_CHECK_EQ(scales.size(), zps.size());
+      for (std::size_t i = 0; i < scales.size(); ++i) {
+        call.input_qs.emplace_back(static_cast<float>(scales[i]),
+                                   static_cast<std::int32_t>(zps[i]));
+      }
+      break;
     }
-    return;
-  }
-  if (op == "nn.leaky_relu") {
-    kernels::LeakyReluF32(tensor_arg(0), out,
-                          static_cast<float>(attrs.GetDouble("alpha", 0.01)));
-    return;
-  }
-  if (op == "sigmoid") {
-    kernels::SigmoidF32(tensor_arg(0), out);
-    return;
-  }
-  if (op == "tanh") {
-    kernels::TanhF32(tensor_arg(0), out);
-    return;
-  }
-  if (op == "exp") {
-    kernels::ExpF32(tensor_arg(0), out);
-    return;
-  }
-  if (op == "sqrt") {
-    kernels::SqrtF32(tensor_arg(0), out);
-    return;
-  }
-  if (op == "clip") {
-    kernels::ClipF32(tensor_arg(0), out, static_cast<float>(attrs.RequireDouble("a_min")),
-                     static_cast<float>(attrs.RequireDouble("a_max")));
-    return;
-  }
-  if (op == "add" || op == "subtract" || op == "multiply" || op == "divide" ||
-      op == "maximum" || op == "minimum") {
-    static const std::unordered_map<std::string, BinaryOp> kMap = {
-        {"add", BinaryOp::kAdd},         {"subtract", BinaryOp::kSub},
-        {"multiply", BinaryOp::kMul},    {"divide", BinaryOp::kDiv},
-        {"maximum", BinaryOp::kMax},     {"minimum", BinaryOp::kMin}};
-    kernels::BroadcastBinaryF32(kMap.at(op), tensor_arg(0), tensor_arg(1), out);
-    return;
-  }
-  if (op == "nn.max_pool2d") {
-    if (tensor_arg(0).dtype() == DType::kInt8) {
-      kernels::MaxPool2DS8(tensor_arg(0), out, PoolParams(attrs));
-    } else {
-      kernels::MaxPool2DF32(tensor_arg(0), out, PoolParams(attrs));
+    case KernelId::kPad:
+      call.begin = attrs.RequireInts("pad_before");
+      call.end = attrs.RequireInts("pad_after");
+      call.pad_value = attrs.GetDouble("pad_value", 0.0);
+      break;
+    case KernelId::kUpsampling:
+      call.scale_h = attrs.GetInt("scale_h", 2);
+      call.scale_w = attrs.GetInt("scale_w", 2);
+      break;
+    case KernelId::kStridedSlice: {
+      call.begin = attrs.RequireInts("begin");
+      call.end = attrs.RequireInts("end");
+      call.strides =
+          attrs.GetInts("strides", std::vector<std::int64_t>(call.begin.size(), 1));
+      // Normalize negative / clamped indices the same way type inference does.
+      TNP_CHECK(!arg_types.empty() && arg_types[0].IsTensor())
+          << "strided_slice: input type unknown at bind time";
+      const Shape& in = arg_types[0].AsTensor().shape;
+      TNP_CHECK_EQ(static_cast<int>(call.end.size()), static_cast<int>(call.begin.size()));
+      for (std::size_t i = 0; i < call.begin.size() && static_cast<int>(i) < in.rank(); ++i) {
+        const std::int64_t extent = in[static_cast<int>(i)];
+        if (call.begin[i] < 0) call.begin[i] += extent;
+        if (call.end[i] < 0) call.end[i] += extent;
+        call.end[i] = std::min(call.end[i], extent);
+      }
+      break;
     }
-    return;
+    case KernelId::kQuantize:
+      call.out_q = QP(attrs, "output_scale", "output_zero_point");
+      break;
+    case KernelId::kDequantize:
+      call.in_q = QP(attrs, "input_scale", "input_zero_point");
+      break;
+    case KernelId::kRequantize:
+      call.in_q = QP(attrs, "input_scale", "input_zero_point");
+      call.out_q = QP(attrs, "output_scale", "output_zero_point");
+      break;
+    case KernelId::kQAdd:
+    case KernelId::kQMul:
+      call.in_q = QP(attrs, "lhs_scale", "lhs_zero_point");
+      call.rhs_q = QP(attrs, "rhs_scale", "rhs_zero_point");
+      call.out_q = QP(attrs, "output_scale", "output_zero_point");
+      break;
+    default:
+      break;
   }
-  if (op == "nn.avg_pool2d") {
-    if (tensor_arg(0).dtype() == DType::kInt8) {
-      kernels::AvgPool2DS8(tensor_arg(0), out, PoolParams(attrs));
-    } else {
-      kernels::AvgPool2DF32(tensor_arg(0), out, PoolParams(attrs));
-    }
-    return;
+  if (call.id == KernelId::kConv2dS8 || call.id == KernelId::kDenseS8) {
+    call.in_q = QP(attrs, "input_scale", "input_zero_point");
+    call.rhs_q = QP(attrs, "weight_scale", "weight_zero_point");
+    call.out_q = QP(attrs, "output_scale", "output_zero_point");
   }
-  if (op == "nn.global_avg_pool2d") {
-    if (tensor_arg(0).dtype() == DType::kInt8) {
-      kernels::GlobalAvgPool2DS8(tensor_arg(0), out);
-    } else {
-      kernels::GlobalAvgPool2DF32(tensor_arg(0), out);
-    }
-    return;
-  }
-  if (op == "nn.batch_norm") {
-    kernels::BatchNormF32(tensor_arg(0), tensor_arg(1), tensor_arg(2), tensor_arg(3),
-                          tensor_arg(4), out,
-                          static_cast<float>(attrs.GetDouble("epsilon", 1e-5)));
-    return;
-  }
-  if (op == "nn.softmax") {
-    kernels::SoftmaxF32(tensor_arg(0), out, static_cast<int>(attrs.GetInt("axis", -1)));
-    return;
-  }
-  if (op == "nn.dropout" || op == "nn.batch_flatten" || op == "reshape") {
-    // Inference-mode identity ops: a plain byte copy into `out` (whose shape
-    // already reflects the op's output type). The planner may alias `out`
-    // onto the input, in which case the bytes are already in place.
-    const NDArray& in = tensor_arg(0);
-    TNP_CHECK_EQ(in.SizeBytes(), out.SizeBytes());
-    if (out.RawData() != in.RawData()) {
-      std::memcpy(out.RawData(), in.RawData(), in.SizeBytes());
-    }
-    out.set_quant(in.quant());
-    return;
-  }
-  if (op == "transpose") {
-    kernels::Transpose(tensor_arg(0), out, ToIntVector(attrs.RequireInts("axes")));
-    return;
-  }
-  if (op == "concatenate") {
-    const auto& fields = args.at(0).AsTuple();
-    std::vector<NDArray> tensors;
-    tensors.reserve(fields.size());
-    for (const auto& field : fields) tensors.push_back(field.AsTensor());
-    kernels::Concat(tensors, out, static_cast<int>(attrs.GetInt("axis", 0)));
-    return;
-  }
-  if (op == "nn.pad") {
-    kernels::PadConstant(tensor_arg(0), out, attrs.RequireInts("pad_before"),
-                         attrs.RequireInts("pad_after"), attrs.GetDouble("pad_value", 0.0));
-    return;
-  }
-  if (op == "nn.upsampling") {
-    kernels::UpsamplingNearestF32(tensor_arg(0), out, attrs.GetInt("scale_h", 2),
-                                  attrs.GetInt("scale_w", 2));
-    return;
-  }
-  if (op == "strided_slice") {
-    const auto& in = tensor_arg(0);
-    auto begin = attrs.RequireInts("begin");
-    auto end = attrs.RequireInts("end");
-    auto strides = attrs.GetInts("strides", std::vector<std::int64_t>(begin.size(), 1));
-    // Normalize negative / clamped indices the same way type inference does.
-    for (std::size_t i = 0; i < begin.size(); ++i) {
-      const std::int64_t extent = in.shape()[static_cast<int>(i)];
-      if (begin[i] < 0) begin[i] += extent;
-      if (end[i] < 0) end[i] += extent;
-      end[i] = std::min(end[i], extent);
-    }
-    kernels::StridedSlice(in, out, begin, end, strides);
-    return;
-  }
-  if (op == "mean") {
-    kernels::MeanF32(tensor_arg(0), out, ToIntVector(attrs.RequireInts("axis")));
-    return;
-  }
-  if (op == "cast") {
-    kernels::Cast(tensor_arg(0), out);
-    return;
-  }
-
-  // ---------------- QNN dialect ----------------
-  if (op == "qnn.quantize") {
-    kernels::QuantizeF32ToS8(tensor_arg(0), out, QP(attrs, "output_scale", "output_zero_point"));
-    return;
-  }
-  if (op == "qnn.dequantize") {
-    kernels::DequantizeS8ToF32(tensor_arg(0), out, QP(attrs, "input_scale", "input_zero_point"));
-    return;
-  }
-  if (op == "qnn.requantize") {
-    kernels::RequantizeS8(tensor_arg(0), out, QP(attrs, "input_scale", "input_zero_point"),
-                          QP(attrs, "output_scale", "output_zero_point"));
-    return;
-  }
-  if (op == "qnn.conv2d") {
-    kernels::QConv2DS8(tensor_arg(0), tensor_arg(1), tensor_arg(2), out, ConvParams(attrs),
-                       QP(attrs, "input_scale", "input_zero_point"),
-                       QP(attrs, "weight_scale", "weight_zero_point"),
-                       QP(attrs, "output_scale", "output_zero_point"), packed_weights);
-    return;
-  }
-  if (op == "qnn.dense") {
-    kernels::QDenseS8(tensor_arg(0), tensor_arg(1), tensor_arg(2), out,
-                      QP(attrs, "input_scale", "input_zero_point"),
-                      QP(attrs, "weight_scale", "weight_zero_point"),
-                      QP(attrs, "output_scale", "output_zero_point"), packed_weights);
-    return;
-  }
-  if (op == "qnn.add" || op == "qnn.mul") {
-    const QuantParams lhs_q = QP(attrs, "lhs_scale", "lhs_zero_point");
-    const QuantParams rhs_q = QP(attrs, "rhs_scale", "rhs_zero_point");
-    const QuantParams out_q = QP(attrs, "output_scale", "output_zero_point");
-    if (op == "qnn.add") {
-      kernels::QAddS8(tensor_arg(0), tensor_arg(1), out, lhs_q, rhs_q, out_q);
-    } else {
-      kernels::QMulS8(tensor_arg(0), tensor_arg(1), out, lhs_q, rhs_q, out_q);
-    }
-    return;
-  }
-  if (op == "qnn.concatenate") {
-    const auto& fields = args.at(0).AsTuple();
-    std::vector<NDArray> tensors;
-    std::vector<QuantParams> qs;
-    const auto scales = attrs.GetDoubles("input_scales", {});
-    const auto zps = attrs.GetInts("input_zero_points", {});
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      tensors.push_back(fields[i].AsTensor());
-      qs.emplace_back(static_cast<float>(scales[i]), static_cast<std::int32_t>(zps[i]));
-    }
-    kernels::QConcatS8(tensors, qs, out, QP(attrs, "output_scale", "output_zero_point"),
-                       static_cast<int>(attrs.GetInt("axis", 0)));
-    return;
-  }
-  if (op == "qnn.relu") {
-    kernels::ReluS8(tensor_arg(0), out, static_cast<std::int32_t>(attrs.RequireInt("zero_point")));
-    return;
-  }
-
-  TNP_THROW(kRuntimeError) << "interpreter: no kernel for operator '" << op << "'";
+  return call;
 }
 
 Value EvalOpCall(const std::string& op, const Attrs& attrs, const Call& call,
                  const std::vector<Value>& args) {
+  std::vector<Type> arg_types;
+  std::vector<const NDArray*> inputs;
+  for (const auto& arg : args) {
+    arg_types.push_back(arg.GetType());
+    if (!arg.is_tuple()) {
+      inputs.push_back(&arg.AsTensor());
+      continue;
+    }
+    for (const auto& field : arg.AsTuple()) inputs.push_back(&field.AsTensor());
+  }
   // Output type drives allocation.
-  const Type out_type = InferCallType(call, ArgTypes(args));
+  const Type out_type = InferCallType(call, arg_types);
   NDArray out = NDArray::Empty(out_type.AsTensor().shape, out_type.AsTensor().dtype);
-  EvalOpCallInto(op, attrs, args, out);
+  kernels::Invoke(BindOp(op, attrs, arg_types, out_type), inputs, out);
   return out;
 }
 

@@ -1,21 +1,19 @@
-// Reference interpreter: evaluates Relay expressions by dispatching each op
-// call to the corresponding CPU kernel. This is the numerical ground truth
-// for the whole stack — the graph executor, constant folding and the tests
-// all route through EvalOpCall.
+// Reference interpreter: evaluates Relay expressions by binding each op call
+// to its kernel (BindOp) and invoking it on freshly allocated outputs. The
+// tree walk of EvalExpr — no arena, no plan, no prepacked weights — is the
+// numerical oracle the executors are tested against; relay::Build binds its
+// kCallOp instructions through the same BindOp.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "kernels/call.h"
 #include "relay/expr.h"
 #include "tensor/ndarray.h"
 
 namespace tnp {
-namespace kernels {
-struct PackedMatrix;
-}  // namespace kernels
-
 namespace relay {
 
 /// Runtime value: a tensor or a tuple of values.
@@ -45,22 +43,15 @@ class Value {
   bool is_tuple_ = false;
 };
 
-/// Evaluate one operator call on already-computed argument values, writing
-/// the result into the caller-provided `out` tensor (shape/dtype must match
-/// the op's inferred output type). `out` may alias the first argument for
-/// elementwise/identity ops — every kernel on that path is element-local.
-/// Performs no tensor allocation: this is the planned-arena execution path.
-/// `packed_weights` (conv/dense ops only) is the pre-packed panel form of
-/// the weight argument when the compiler prepared one; nullptr falls back to
-/// packing into arena scratch inside the kernel.
-void EvalOpCallInto(const std::string& op_name, const Attrs& attrs,
-                    const std::vector<Value>& args, NDArray& out,
-                    const kernels::PackedMatrix* packed_weights = nullptr);
+/// Bind a Relay operator to its kernel: pick the kernel from the op name and
+/// dtypes and decode `attrs` into typed params once. `arg_types` are the
+/// call's argument types (a tuple for concatenate) and `out_type` its
+/// inferred result. Throws kCompileError for ops without a kernel.
+kernels::KernelCall BindOp(const std::string& op_name, const Attrs& attrs,
+                           const std::vector<Type>& arg_types, const Type& out_type);
 
-/// Evaluate one operator call on already-computed argument values.
-/// The output tensor is freshly allocated (thin wrapper over EvalOpCallInto;
-/// the legacy path kept for constant folding, EvalExpr and differential
-/// testing against planned execution).
+/// Evaluate one operator call on already-computed argument values into a
+/// freshly allocated output (constant folding and EvalExpr).
 Value EvalOpCall(const std::string& op_name, const Attrs& attrs, const Call& call,
                  const std::vector<Value>& args);
 

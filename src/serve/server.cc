@@ -419,7 +419,7 @@ void InferenceServer::RunBatch(std::vector<QueuedRequest> batch,
                         support::TraceArg("fell_back", entry.fell_back));
         lease->Run();
       }
-      response.sim_us = lease->last_clock().total_us();
+      response.sim_us = lease->EstimateLatency().total_us();
       const int num_outputs = lease->NumOutputs();
       response.outputs.reserve(static_cast<std::size_t>(num_outputs));
       for (int i = 0; i < num_outputs; ++i) {

@@ -1,7 +1,5 @@
 #include "support/telemetry.h"
 
-#include <vector>
-
 #include "support/metrics.h"
 #include "support/profiler.h"
 #include "support/timeseries.h"
@@ -45,11 +43,6 @@ void TelemetrySampler::Loop() {
   }
 }
 
-void TelemetrySampler::AddSampleCallback(std::function<void()> callback) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  callbacks_.push_back(std::move(callback));
-}
-
 void TelemetrySampler::SampleOnce() {
   if (options_.advance_timeseries) timeseries::Collector::Global().Tick();
   if (options_.sample_profiler) profiler::Profiler::Global().SampleOnce();
@@ -62,12 +55,6 @@ void TelemetrySampler::SampleOnce() {
       }
     }
   }
-  std::vector<std::function<void()>> callbacks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    callbacks = callbacks_;
-  }
-  for (const auto& callback : callbacks) callback();
   samples_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -17,10 +17,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 namespace tnp {
 namespace support {
@@ -58,11 +56,6 @@ class TelemetrySampler {
   /// Public so tests and exit paths can sample deterministically.
   void SampleOnce();
 
-  /// Run `callback` at the end of every sampling pass (thread + manual) —
-  /// how periodic work (health evaluation, exports) rides the existing
-  /// cadence thread instead of spawning its own. Register before Start().
-  void AddSampleCallback(std::function<void()> callback);
-
   /// Completed sampling passes (thread + manual).
   std::uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
 
@@ -71,7 +64,6 @@ class TelemetrySampler {
 
   TelemetrySamplerOptions options_;
   std::atomic<std::uint64_t> samples_{0};
-  std::vector<std::function<void()>> callbacks_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;

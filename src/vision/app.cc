@@ -11,14 +11,6 @@
 namespace tnp {
 namespace vision {
 
-namespace {
-
-double ClockDeltaUs(const core::InferenceSessionPtr& session) {
-  return session->last_clock().total_us();
-}
-
-}  // namespace
-
 ShowcaseApp::ShowcaseApp(const ShowcaseConfig& config) : config_(config) {
   if (config_.run_object_model) {
     zoo::ZooOptions options;
@@ -50,7 +42,7 @@ FrameResult ShowcaseApp::DetectStage(const NDArray& frame, int frame_index,
                                              config_.object_image_size);
     detection_session_->SetInput("t0", ssd_input);
     detection_session_->Run();
-    clocks.detection_us += ClockDeltaUs(detection_session_);
+    clocks.detection_us += detection_session_->EstimateLatency().total_us();
     if (config_.use_model_boxes) {
       SsdDecodeConfig decode;
       decode.image_size = frame.shape()[3];
@@ -88,7 +80,7 @@ void ShowcaseApp::AntiSpoofStage(const NDArray& frame, FrameResult& result,
     const NDArray crop = FaceCrop48(frame, face.box);
     antispoof_session_->SetInput("face", crop);
     antispoof_session_->Run();
-    clocks.antispoof_us += ClockDeltaUs(antispoof_session_);
+    clocks.antispoof_us += antispoof_session_->EstimateLatency().total_us();
     const NDArray score = antispoof_session_->GetOutput(0);
     face.antispoof_score = score.Data<float>()[0];
     face.spoof = IsSpoof(score);
@@ -104,7 +96,7 @@ void ShowcaseApp::EmotionStage(const NDArray& frame, FrameResult& result,
     const NDArray crop = FaceCrop48(frame, face.box);
     emotion_session_->SetInput("face", crop);
     emotion_session_->Run();
-    clocks.emotion_us += ClockDeltaUs(emotion_session_);
+    clocks.emotion_us += emotion_session_->EstimateLatency().total_us();
     face.emotion = ArgmaxEmotion(emotion_session_->GetOutput(0));
   }
 }

@@ -20,6 +20,7 @@
 #include "artifact/store.h"
 #include "core/flows.h"
 #include "kernels/pack.h"
+#include "oracle.h"
 #include "relay/build.h"
 #include "relay/pass.h"
 #include "support/error.h"
@@ -266,27 +267,26 @@ TEST(Artifact, SteadyStateZeroAllocationsAfterLoad) {
   EXPECT_EQ(NDArray::TotalAllocations(), allocs) << "steady-state tensor allocation";
 }
 
-TEST(Artifact, LoadedPlannedVsLegacyDifferential) {
+TEST(Artifact, LoadedExecutionMatchesOracle) {
   TempDir dir("planned");
   fs::create_directory(dir.path);
   const std::string path = dir.path + "/m.tnpa";
-  SaveCompiledModule(*CompiledMobilenet(), path);
+  const relay::Module module = relay::InferType().Run(SmallZoo("mobilenet_v1"));
+  SaveCompiledModule(*relay::Build(module), path);
   const relay::CompiledModulePtr loaded = MapCompiledModule(path);
 
-  relay::GraphExecutor planned(loaded, /*use_memory_plan=*/true);
-  relay::GraphExecutor legacy(loaded, /*use_memory_plan=*/false);
-  ASSERT_TRUE(planned.planned());
-  ASSERT_FALSE(legacy.planned());
+  relay::GraphExecutor executor(loaded);
   const NDArray input = SmallInput(5);
   for (const auto& [name, slot] : loaded->input_slots) {
     (void)slot;
-    planned.SetInput(name, input);
-    legacy.SetInput(name, input);
+    executor.SetInput(name, input);
   }
-  planned.Run();
-  legacy.Run();
-  for (int i = 0; i < planned.NumOutputs(); ++i) {
-    EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(i), legacy.GetOutput(i))) << i;
+  executor.Run();
+  const std::vector<NDArray> expected = OracleOutputs(module, input);
+  ASSERT_EQ(executor.NumOutputs(), static_cast<int>(expected.size()));
+  for (int i = 0; i < executor.NumOutputs(); ++i) {
+    EXPECT_TRUE(NDArray::BitEqual(executor.GetOutput(i), expected[static_cast<std::size_t>(i)]))
+        << i;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/pipeline_executor.h"
 #include "frontend/common.h"
 #include "kernels/pack.h"
+#include "oracle.h"
 #include "relay/build.h"
 #include "support/arena.h"
 #include "support/memplan.h"
@@ -185,19 +186,13 @@ TEST(MemoryPlan, TupleForwardingExtendsProducerLifetime) {
                         m_plan.offset + m_plan.bytes <= a_plan.offset;
   EXPECT_TRUE(disjoint);
 
-  // Numerics agree with the legacy allocating executor.
+  // Numerics agree with the interpreter oracle.
   const NDArray input = NDArray::RandomNormal(Shape({1, 8}), 11, 0.5f);
   GraphExecutor planned(compiled);
-  GraphExecutor legacy(compiled, /*use_memory_plan=*/false);
   planned.SetInput("data", input);
-  legacy.SetInput("data", input);
   planned.Run();
-  legacy.Run();
-  EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(0), legacy.GetOutput(0)));
-  EXPECT_TRUE(planned.planned());
-  EXPECT_FALSE(legacy.planned());
+  EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(0), OracleOutputs(module, input).at(0)));
   EXPECT_GT(planned.arena_bytes(), 0);
-  EXPECT_EQ(legacy.arena_bytes(), 0);
 }
 
 TEST(MemoryPlan, ElementwiseChainAliasesInPlace) {
@@ -210,7 +205,8 @@ TEST(MemoryPlan, ElementwiseChainAliasesInPlace) {
   auto r = TypedCall("nn.relu", {c});
   auto f = TypedCall("nn.batch_flatten", {r});
   auto out = TypedCall("multiply", {f, r});
-  const auto compiled = Build(Module(MakeFunction({x}, out)), NoFusion());
+  const Module module(MakeFunction({x}, out));
+  const auto compiled = Build(module, NoFusion());
 
   const MemoryPlan& plan = compiled->memory_plan;
   const int add_index = FindOpIndex(*compiled, "add");
@@ -230,12 +226,9 @@ TEST(MemoryPlan, ElementwiseChainAliasesInPlace) {
 
   const NDArray input = NDArray::RandomNormal(Shape({1, 8}), 13, 0.7f);
   GraphExecutor planned(compiled);
-  GraphExecutor legacy(compiled, /*use_memory_plan=*/false);
   planned.SetInput("data", input);
-  legacy.SetInput("data", input);
   planned.Run();
-  legacy.Run();
-  EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(0), legacy.GetOutput(0)));
+  EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(0), OracleOutputs(module, input).at(0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -332,30 +325,29 @@ TEST(MemoryPlan, ZooPlansHaveNoOverlappingLiveRegions) {
   }
 }
 
-TEST(MemoryPlan, PlannedExecutionBitwiseMatchesLegacyAcrossZoo) {
+TEST(MemoryPlan, PlannedExecutionBitwiseMatchesOracleAcrossZoo) {
   int aliased_models = 0;
   for (const auto& info : zoo::AllModels()) {
     const zoo::ZooOptions options = SmallOptions(info.name);
-    const auto compiled = Build(zoo::Build(info.name, options));
+    const Module module = zoo::Build(info.name, options);
+    const auto compiled = Build(module);
     if (compiled->memory_plan.num_alias_slots > 0) ++aliased_models;
 
     const NDArray input = ZooInput(info.name, options);
+    const std::vector<NDArray> expected = OracleOutputs(module, input);
     GraphExecutor planned(compiled);
-    GraphExecutor legacy(compiled, /*use_memory_plan=*/false);
     SetFirstInput(planned, input);
-    SetFirstInput(legacy, input);
     planned.Run();
-    legacy.Run();
-    ASSERT_EQ(planned.NumOutputs(), legacy.NumOutputs()) << info.name;
+    ASSERT_EQ(planned.NumOutputs(), static_cast<int>(expected.size())) << info.name;
     for (int o = 0; o < planned.NumOutputs(); ++o) {
-      EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(o), legacy.GetOutput(o)))
+      EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(o), expected[static_cast<std::size_t>(o)]))
           << info.name << " output " << o;
     }
     // Second planned run over the same arena stays deterministic.
     SetFirstInput(planned, input);
     planned.Run();
     for (int o = 0; o < planned.NumOutputs(); ++o) {
-      EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(o), legacy.GetOutput(o)))
+      EXPECT_TRUE(NDArray::BitEqual(planned.GetOutput(o), expected[static_cast<std::size_t>(o)]))
           << info.name << " output " << o << " (second run)";
     }
   }

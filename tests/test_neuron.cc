@@ -268,8 +268,7 @@ TEST(Planner, EstimateMatchesRuntimeAccounting) {
   // invocation overhead (which only the runtime charges).
   const NeuronCompiler compiler(CompilerOptions{});
   const NeuronPackagePtr package = compiler.Compile(ConvReluModel(16, 16), "t");
-  sim::SimClock clock;
-  NeuronRuntime::Execute(*package, {}, &clock, false);
+  const sim::SimClock clock = EstimateLatency(*package);
   const double estimate =
       EstimatePlanUs(package->model, package->plan.placement, sim::Testbed::Dimensity800());
   EXPECT_NEAR(clock.total_us(), estimate + kInvocationOverheadUs, 1e-6);
@@ -295,20 +294,21 @@ TEST(Runtime, MatchesRelayInterpreter) {
   const NeuronPackagePtr package = compiler.Compile(std::move(model), "t");
 
   NDArray input = NDArray::RandomNormal(Shape({1, 3, 8, 8}), 5);
-  const auto outputs = NeuronRuntime::Execute(*package, {input}, nullptr);
-  ASSERT_EQ(outputs.size(), 1u);
+  NeuronExecutionSession session(package);
+  const NDArray* inputs[] = {&input};
+  session.Run(inputs);
+  ASSERT_EQ(session.outputs().size(), 1u);
 
   relay::Environment env;
   env[x.get()] = relay::Value(input);
   const relay::Value expected = relay::EvalExpr(relu, env);
-  EXPECT_TRUE(NDArray::BitEqual(outputs[0], expected.AsTensor()));
+  EXPECT_TRUE(NDArray::BitEqual(*session.outputs()[0], expected.AsTensor()));
 }
 
 TEST(Runtime, AccountsInvocationOverhead) {
   const NeuronCompiler compiler(CompilerOptions{});
   const NeuronPackagePtr package = compiler.Compile(ConvReluModel(), "t");
-  sim::SimClock clock;
-  NeuronRuntime::Execute(*package, {}, &clock, /*execute_numerics=*/false);
+  const sim::SimClock clock = EstimateLatency(*package);
   EXPECT_GE(clock.total_us(), kInvocationOverheadUs);
   EXPECT_GT(clock.num_ops(), 0);
 }
@@ -318,8 +318,7 @@ TEST(Runtime, ApuPlacementIncursTransfers) {
   options.target = TargetConfig::ApuOnly();
   const NeuronCompiler compiler(options);
   const NeuronPackagePtr package = compiler.Compile(ConvReluModel(16, 32), "t");
-  sim::SimClock clock;
-  NeuronRuntime::Execute(*package, {}, &clock, false);
+  const sim::SimClock clock = EstimateLatency(*package);
   // Input upload + output download at minimum.
   EXPECT_GE(clock.num_transfers(), 2);
 }
@@ -327,8 +326,7 @@ TEST(Runtime, ApuPlacementIncursTransfers) {
 TEST(Runtime, CpuOnlyHasNoDmaTransfers) {
   const NeuronCompiler compiler(CompilerOptions{});
   const NeuronPackagePtr package = compiler.Compile(ConvReluModel(), "t");
-  sim::SimClock clock;
-  NeuronRuntime::Execute(*package, {}, &clock, false);
+  const sim::SimClock clock = EstimateLatency(*package);
   // Only the fixed invocation overhead is recorded as a "transfer" entry.
   EXPECT_EQ(clock.num_transfers(), 1);
 }
@@ -336,11 +334,11 @@ TEST(Runtime, CpuOnlyHasNoDmaTransfers) {
 TEST(Runtime, InputValidation) {
   const NeuronCompiler compiler(CompilerOptions{});
   const NeuronPackagePtr package = compiler.Compile(ConvReluModel(), "t");
-  EXPECT_THROW(NeuronRuntime::Execute(*package, {}, nullptr, true), InternalError);
-  EXPECT_THROW(NeuronRuntime::Execute(
-                   *package, {NDArray::Zeros(Shape({1, 3, 4, 4}), DType::kFloat32)}, nullptr,
-                   true),
-               InternalError);  // wrong shape
+  NeuronExecutionSession session(package);
+  EXPECT_THROW(session.Run({}), InternalError);  // input count
+  const NDArray wrong = NDArray::Zeros(Shape({1, 3, 4, 4}), DType::kFloat32);
+  const NDArray* inputs[] = {&wrong};
+  EXPECT_THROW(session.Run(inputs), InternalError);  // wrong shape
 }
 
 TEST(Runtime, QuantizedPathUsesOperandParams) {
@@ -385,9 +383,12 @@ TEST(Runtime, QuantizedPathUsesOperandParams) {
   const NeuronPackagePtr package = compiler.Compile(std::move(model), "q");
   NDArray real = NDArray::FromVector<float>(Shape({1, 8}),
                                             {-0.4f, -0.2f, 0.0f, 0.1f, 0.2f, 0.3f, 0.4f, 0.5f});
-  const auto outputs = NeuronRuntime::Execute(*package, {real}, nullptr);
+  NeuronExecutionSession session(package);
+  const NDArray* inputs[] = {&real};
+  session.Run(inputs);
+  const NDArray& output = *session.outputs()[0];
   for (std::int64_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(outputs[0].Data<float>()[i], real.Data<float>()[i], 0.1f);
+    EXPECT_NEAR(output.Data<float>()[i], real.Data<float>()[i], 0.1f);
   }
 }
 

@@ -89,7 +89,7 @@ TEST_P(ZooBuildSweep, TvmOnlyAndByocAgree) {
         << name << " output " << i;
   }
   // BYOC with both devices never loses to TVM-only in simulated time.
-  EXPECT_LT(byoc->last_clock().total_us(), tvm->last_clock().total_us()) << name;
+  EXPECT_LT(byoc->EstimateLatency().total_us(), tvm->EstimateLatency().total_us()) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooBuildSweep, ::testing::Values(
